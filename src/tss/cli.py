@@ -27,7 +27,7 @@ from .constructions import (
     seed_generalized_petersen,
     seed_torus_cordalis,
 )
-from .errors import TssError
+from .errors import BadParam, TssError
 from .families import (
     cycle,
     cycle_permutation,
@@ -39,7 +39,7 @@ from .families import (
     torus_cordalis,
     torus_serpentinus,
 )
-from .graph import Graph, graph_from_json, graph_to_dot, graph_to_json
+from .graph import Graph, graph_from_json, graph_to_dot, graph_to_json, int_list
 from .solver import SolveLimits, exact_min_seed, verify_optimality
 from .thresholds import (
     constant_threshold,
@@ -128,9 +128,12 @@ def _seed_ids(args, g: Graph) -> list[int]:
     if getattr(args, "seed_file", None):
         text = Path(args.seed_file).read_text()
         try:
-            return [int(x) for x in json.loads(text)]
+            doc = json.loads(text)
         except json.JSONDecodeError:
             return _parse_ids(text)
+        if not isinstance(doc, list):
+            raise BadParam("a JSON seed file must hold a list of vertex ids")
+        return int_list(doc, "seed id")
     if getattr(args, "seed", None) is not None:
         if args.seed == "all":
             return list(g.vertices())
@@ -232,8 +235,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     if args.family in ("cordalis", "mesh", "serpentinus"):
         m, n = _req(args, "m"), _req(args, "n")
-        variant = args.family if args.family != "mesh" else "mesh"
-        report = bounds_mod.torus_bounds(m, n, variant)
+        report = bounds_mod.torus_bounds(m, n, args.family)
         doc = {
             "lower": report.lower,
             "upper": report.upper,

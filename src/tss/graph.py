@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from .errors import BadParam, DuplicateLabel, SelfLoop, VertexOutOfRange
 
@@ -139,6 +139,16 @@ def graph_to_json(g: Graph, thresholds: Iterable[int] | None = None) -> str:
     return json.dumps(doc)
 
 
+def _not_int(what: str, value: object) -> NoReturn:
+    raise BadParam(f"{what} must be an integer, got {json.dumps(value)}")
+
+
+def int_list(values: Iterable, what: str) -> list[int]:
+    """`values` as a list of ints; a value whose type is not exactly int
+    (a float, a string or a bool) is a BadParam, never coerced."""
+    return [x if type(x) is int else _not_int(what, x) for x in values]
+
+
 def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
     """Parse a tss-graph-v1 document; returns the graph and optional thresholds."""
     try:
@@ -148,18 +158,23 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
     if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
         raise BadParam(f"expected a {GRAPH_FORMAT} document")
     try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = doc["n"]
+        if type(n) is not int:
+            _not_int("n", n)
+        edges = [
+            (u, v) if type(u) is int and type(v) is int else _not_int("edge endpoint", [u, v])
+            for u, v in doc["edges"]
+        ]
+        labels = None
+        if doc.get("labels") is not None:
+            labels = {int(k): str(v) for k, v in doc["labels"].items()}
+        thresholds = None
+        if doc.get("thresholds") is not None:
+            thresholds = int_list(doc["thresholds"], "threshold")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise BadParam(f"malformed graph document: {exc}") from exc
-    labels = None
-    if "labels" in doc and doc["labels"] is not None:
-        labels = {int(k): str(v) for k, v in doc["labels"].items()}
-    thresholds = None
-    if "thresholds" in doc and doc["thresholds"] is not None:
-        thresholds = [int(x) for x in doc["thresholds"]]
-        if len(thresholds) != n:
-            raise BadParam("thresholds array length must equal n")
+    if thresholds is not None and len(thresholds) != n:
+        raise BadParam("thresholds array length must equal n")
     return build_graph(n, edges, labels), thresholds
 
 

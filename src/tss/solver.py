@@ -2,14 +2,16 @@
 
 Monotonicity of the closure makes the search sound: if a seed fails, every
 subset of it fails, so the first size with any influencing seed is the
-optimum. Candidate feasibility is one bitmask closure computation.
+optimum. Each size is a depth-first walk over the candidates in
+lexicographic order. A tree node keeps the closed active set of its prefix,
+so adding one vertex only cascades from that vertex: just the neighbours of
+newly active vertices are re-tested.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .bounds import lower_bound_lemma
@@ -43,23 +45,26 @@ class OptimalityCheck:
     nodes_explored: int = 0
 
 
-def _spreads_to_all(masks: Sequence[int], theta: Sequence[int], seed_mask: int, full_mask: int, n: int) -> bool:
-    active = seed_mask
-    remaining = [v for v in range(n) if not (seed_mask >> v) & 1]
-    while True:
+def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int) -> int:
+    """Closed active set grown from `active` as a bitmask.
+
+    `front` must hold every inactive vertex that may now meet its threshold:
+    all of them for a fresh closure, or the inactive neighbours of the newly
+    added vertices when `active` was closed before they were added.
+    """
+    while front:
         newly = 0
-        keep = []
-        for v in remaining:
-            if (masks[v] & active).bit_count() >= theta[v]:
-                newly |= 1 << v
-            else:
-                keep.append(v)
-        if not newly:
-            return active == full_mask
+        reach = 0
+        while front:
+            low = front & -front
+            front ^= low
+            w = low.bit_length() - 1
+            if (masks[w] & active).bit_count() >= theta[w]:
+                newly |= low
+                reach |= masks[w]
         active |= newly
-        if active == full_mask:
-            return True
-        remaining = keep
+        front = reach & ~active
+    return active
 
 
 def _prepare(g: Graph, theta: Thresholds, limits: SolveLimits):
@@ -86,27 +91,46 @@ def _search_size(
 
     Candidates are forced-vertices plus k-|forced| others; merging a fixed
     sorted set into lexicographically ordered combinations preserves the lex
-    order of the merged tuples.
+    order of the merged tuples. The walk visits the leaves (candidates) in
+    the order of `itertools.combinations`, and `counter` counts them.
     """
     if k < len(forced):
         return None
     masks = g.neighbor_masks
-    n = g.vertex_count
     full = g.full_mask
     forced_mask = 0
     for v in forced:
         forced_mask |= 1 << v
-    rest = [v for v in range(n) if not (forced_mask >> v) & 1]
-    for combo in combinations(rest, k - len(forced)):
+    rest = [v for v in g.vertices() if not (forced_mask >> v) & 1]
+    picks: list[int] = []  # the witness's non-forced vertices, deepest first
+
+    def tick() -> None:
         counter[0] += 1
         if deadline is not None and counter[0] % 1024 == 0 and time.monotonic() > deadline:
             raise TimeoutError
-        seed_mask = forced_mask
-        for v in combo:
-            seed_mask |= 1 << v
-        if _spreads_to_all(masks, th, seed_mask, full, n):
-            return frozenset(forced) | frozenset(combo)
-    return None
+
+    def walk(active: int, start: int, todo: int) -> bool:
+        for i in range(start, len(rest) - todo + 1):
+            v = rest[i]
+            grown = active | 1 << v
+            closed = _cascade(masks, th, grown, masks[v] & ~grown)
+            if todo > 1:
+                found = walk(closed, i + 1, todo - 1)
+            else:
+                tick()
+                found = closed == full
+            if found:
+                picks.append(v)
+                return True
+        return False
+
+    base = _cascade(masks, th, forced_mask, full & ~forced_mask)
+    if k == len(forced):
+        tick()
+        found = base == full
+    else:
+        found = walk(base, 0, k - len(forced))
+    return frozenset(forced) | frozenset(picks) if found else None
 
 
 def exact_min_seed(g: Graph, theta: Thresholds, limits: SolveLimits = SolveLimits()) -> SolveResult:

@@ -210,3 +210,28 @@ def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):
 def test_io_error_exit_2(capsys):
     code, _, err = run(capsys, "exact", "--graph", "/does/not/exist.json", "--k", "2")
     assert code == 2
+
+
+def test_seed_file_must_hold_a_list_exit_2(capsys, tmp_path):
+    seed_file = tmp_path / "seed.json"
+    for doc in ("5", '{"seed": [0, 1, 2]}'):
+        seed_file.write_text(doc)
+        code, out, err = run(
+            capsys, "verify", "--family", "cordalis", "--m", "3", "--n", "3",
+            "--k", "3", "--seed-file", str(seed_file),
+        )
+        assert code == 2 and out == ""
+        assert "list of vertex ids" in err
+
+
+def test_seed_file_ids_are_not_coerced(capsys, tmp_path):
+    seed_file = tmp_path / "seed.json"
+    args = ("verify", "--family", "path", "--n", "3", "--k", "1", "--seed-file", str(seed_file))
+    seed_file.write_text("[1]")
+    assert run(capsys, *args)[0] == 0
+    for doc in ("[true]", "[1.0]", '["1"]'):
+        seed_file.write_text(doc)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "must be an integer" in err
+    seed_file.write_text("1, 0 2")  # plain text ids still parse
+    assert run(capsys, *args)[0] == 0

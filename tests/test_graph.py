@@ -136,8 +136,28 @@ def test_json_rejects_garbage():
         graph_from_json("not json")
     with pytest.raises(BadParam):
         graph_from_json('{"format": "something-else", "n": 1, "edges": []}')
-    with pytest.raises(BadParam):
-        graph_from_json('{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "thresholds": [1]}')
+    for doc in [
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "thresholds": [1]}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "thresholds": 2}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1, 1]]}',
+        '{"format": "tss-graph-v1", "edges": [[0, 1]]}',
+    ]:
+        with pytest.raises(BadParam):
+            graph_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", ["true", "1.7", '"3"', "3.0"])
+def test_json_rejects_non_integer_numbers(bad):
+    docs = [
+        '{"format": "tss-graph-v1", "n": %s, "edges": [[0, 1]]}',
+        '{"format": "tss-graph-v1", "n": 4, "edges": [[0, %s]]}',
+        '{"format": "tss-graph-v1", "n": 4, "edges": [[%s, 0]]}',
+        '{"format": "tss-graph-v1", "n": 4, "edges": [[0, 1]], "thresholds": [1, %s, 1, 1]}',
+    ]
+    for doc in docs:
+        with pytest.raises(BadParam, match="must be an integer"):
+            graph_from_json(doc % bad)
 
 
 def test_dot_output():

@@ -15,8 +15,11 @@ from tss import (
     exact_min_seed,
     generalized_petersen,
     is_influencing,
+    lower_bound_lemma,
     path,
+    strict_majority_threshold,
     torus_cordalis,
+    torus_serpentinus,
     verify_optimality,
 )
 from helpers import naive_closure, naive_min_seed, random_connected_graph, random_thresholds
@@ -172,20 +175,89 @@ def test_zero_threshold_optimum_is_zero():
     assert verify_optimality(g, constant_threshold(g, 0), 0).status == "confirmed"
 
 
-def test_closure_engines_agree():
-    # the solver's bitmask engine vs the public counter engine
-    rng = random.Random(45)
-    from tss.solver import _spreads_to_all
+def _mask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
-    for _ in range(80):
+
+def test_closure_engines_agree():
+    # the solver's cascade engine vs the public counter engine, both from
+    # scratch and grown one vertex at a time from a closed set
+    rng = random.Random(45)
+    from tss.solver import _cascade
+
+    seen_zero = seen_above_degree = False
+    for _ in range(120):
         g = random_connected_graph(rng, 12)
         theta = random_thresholds(rng, g)
+        seen_zero |= 0 in theta
+        seen_above_degree |= any(theta[v] > g.degree(v) for v in g.vertices())
+        masks, full = g.neighbor_masks, g.full_mask
         seed = set(rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count)))
-        mask = 0
-        for v in seed:
-            mask |= 1 << v
-        full = len(closure(g, theta, seed)) == g.vertex_count
-        assert (
-            _spreads_to_all(g.neighbor_masks, theta, mask, g.full_mask, g.vertex_count)
-            == full
-        )
+        closed = _cascade(masks, theta, _mask(seed), full & ~_mask(seed))
+        assert closed == _mask(closure(g, theta, seed))
+        for v in g.vertices():
+            grown = closed | 1 << v
+            assert _cascade(masks, theta, grown, masks[v] & ~grown) == _mask(
+                closure(g, theta, seed | {v})
+            )
+    assert seen_zero and seen_above_degree
+
+
+@pytest.mark.parametrize(
+    "family, m, n, nodes, witness",
+    [
+        (torus_cordalis, 3, 7, 10830, {0, 1, 3, 5, 7, 9, 11, 13}),
+        (torus_cordalis, 7, 3, 11326, {0, 1, 3, 5, 9, 11, 15, 17}),
+        (torus_serpentinus, 4, 5, 11355, {0, 2, 4, 8, 11, 14, 17}),
+    ],
+)
+def test_search_order_pinned_on_tori(family, m, n, nodes, witness):
+    g = family(m, n)
+    result = exact_min_seed(g, strict_majority_threshold(g))
+    assert (result.nodes_explored, result.witness) == (nodes, frozenset(witness))
+
+
+@pytest.mark.parametrize(
+    "m, s, nodes, witness",
+    [(11, 3, 5807, {0, 2, 4, 6, 8, 20}), (12, 5, 7118, {0, 1, 3, 5, 7, 9, 22})],
+)
+def test_search_order_pinned_on_petersen(m, s, nodes, witness):
+    g = generalized_petersen(m, s)
+    result = exact_min_seed(g, constant_threshold(g, 2))
+    assert (result.nodes_explored, result.witness) == (nodes, frozenset(witness))
+
+
+def _naive_search(g, theta, sizes):
+    """(witness, candidates visited) of a plain lexicographic enumeration over
+    `sizes`, counting every candidate up to and including the witness."""
+    forced = {v for v in g.vertices() if theta[v] > g.degree(v)}
+    visited = 0
+    for k in sizes:
+        for combo in combinations(range(g.vertex_count), k):
+            if not forced <= set(combo):
+                continue
+            visited += 1
+            if len(naive_closure(g, theta, combo)) == g.vertex_count:
+                return frozenset(combo), visited
+    return None, visited
+
+
+def test_nodes_explored_matches_naive_enumeration():
+    rng = random.Random(46)
+    for trial in range(60):
+        g = random_connected_graph(rng, 9)
+        theta = random_thresholds(rng, g) if trial % 2 else constant_threshold(g, rng.randint(1, 3))
+        values = theta.values if hasattr(theta, "values") else theta
+        floor = sum(values[v] > g.degree(v) for v in g.vertices())
+        if len(set(values)) == 1 and values[0] >= 1:
+            floor = max(floor, lower_bound_lemma(g, values[0]))
+        result = exact_min_seed(g, theta)
+        witness, visited = _naive_search(g, values, range(floor, g.vertex_count + 1))
+        assert (result.witness, result.nodes_explored) == (witness, visited)
+        check = verify_optimality(g, theta, result.optimum)
+        sizes = range(max(result.optimum - 1, 0), result.optimum + 1)
+        witness, visited = _naive_search(g, values, sizes)
+        assert (check.witness, check.nodes_explored) == (witness, visited)
