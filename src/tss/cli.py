@@ -141,13 +141,19 @@ def _seed_ids(args, g: Graph) -> list[int]:
     raise TssError("need --seed or --seed-file")
 
 
-def _add_graph_source(p: argparse.ArgumentParser, families=FAMILIES) -> None:
-    p.add_argument("--graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--family", choices=families)
+def _add_family_flags(
+    p: argparse.ArgumentParser, families: Sequence[str] = FAMILIES, required: bool = False
+) -> None:
+    p.add_argument("--family", choices=families, required=required)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--pi", help="1-based permutation images, comma separated")
+
+
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", help="graph JSON file, or - for stdin")
+    _add_family_flags(p)
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
@@ -262,6 +268,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _add_limit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-vertices", type=int, default=24)
+    p.add_argument("--time-budget", type=float)
+    p.add_argument("--max-size", type=int)
+
+
 def _limits(args) -> SolveLimits:
     return SolveLimits(
         max_vertices=args.max_vertices,
@@ -362,21 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family graph as JSON or DOT")
-    p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--pi", help="1-based permutation images, comma separated")
+    _add_family_flags(p, required=True)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     _add_threshold_flags(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("seed", help="build and verify a theorem seed set")
-    p.add_argument("--family", choices=("cordalis", "gpg", "cp"), required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--pi", help="1-based permutation images, comma separated")
+    _add_family_flags(p, ("cordalis", "gpg", "cp"), required=True)
     p.add_argument("--include-sequence", action="store_true")
     p.set_defaults(func=cmd_seed)
 
@@ -405,18 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact minimum seed on a small instance")
     _add_graph_source(p)
     _add_threshold_flags(p)
-    p.add_argument("--max-vertices", type=int, default=24)
-    p.add_argument("--time-budget", type=float)
-    p.add_argument("--max-size", type=int)
+    _add_limit_flags(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("check-optimal", help="confirm or refute a claimed optimum")
     _add_graph_source(p)
     _add_threshold_flags(p)
     p.add_argument("--claimed", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=24)
-    p.add_argument("--time-budget", type=float)
-    p.add_argument("--max-size", type=int)
+    _add_limit_flags(p)
     p.set_defaults(func=cmd_check_optimal)
 
     p = sub.add_parser("table", help="torus cordalis constructions over a parameter range")

@@ -1,10 +1,12 @@
-"""Seed-set builders with explicit convinced sequences, one per theorem case.
+"""Seed-set builders, one per theorem case.
 
-Each builder assembles the prescribed seed and activation order in the
-1-based torus coordinates (or cycle labels) of the source construction,
-maps them to vertex ids, and self-verifies by simulation before returning:
-a report is only produced when the seed influences the whole graph and the
-convinced sequence validates step by step.
+Each builder assembles the prescribed seed in the 1-based torus coordinates
+(or cycle labels) of the source construction and maps it to vertex ids. One
+gate verifies every seed by simulation before a report is returned: the seed
+size must match the closed form (the fallback must stay within the
+strip-seeding budget), and the parallel process from the seed must activate
+every vertex. The report's convinced sequence is that process flattened
+round by round, ascending ids within a round, so it is legal by construction.
 
 Case tags: T3 (cycle permutation), T4 (generalized Petersen), T5 (n=3 torus),
 T6a/T6b/T6c (n=3s), T7c1..T7c3 (n=3s+1), T8c1..T8c6 (n=3s+2), T9even/T9odd
@@ -14,11 +16,11 @@ T6a/T6b/T6c (n=3s), T7c1..T7c3 (n=3s+1), T8c1..T8c6 (n=3s+2), T9even/T9odd
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .activation import extract_convinced_sequence, is_influencing, validate_convinced_sequence
+from .activation import extract_convinced_sequence
 from .bounds import flocchini_upper, tss_lower_bound_torus
-from .errors import BadParam, ConstructionFailedVerification, TssError
+from .errors import BadParam, ConstructionFailedVerification
 from .families import (
     check_permutation,
     cycle_permutation,
@@ -103,8 +105,7 @@ def formula_value(case: str, m: int, n: int) -> int | None:
 def _verified_report(
     g: Graph,
     k: int,
-    seed_ids: Sequence[int],
-    alpha_ids: Sequence[int],
+    seed_ids: Iterable[int],
     *,
     family: str,
     params: dict,
@@ -113,28 +114,23 @@ def _verified_report(
     expected_size: int,
     lower_bound: int,
 ) -> SeedReport:
-    """Shared verification gate: size, coverage, closure, and sequence check."""
-    theta = constant_threshold(g, k)
+    """The one verification gate: the seed size, then a single simulation.
+
+    `expected_size` is the closed-form size, or for the fallback the budget
+    the seed must not exceed. The seed influences the graph exactly when it
+    and the convinced sequence read off its parallel process cover V(g).
+    """
     seed = frozenset(seed_ids)
-    if len(seed) != expected_size:
+    if case == "fallback":
+        size_ok, limit = len(seed) <= expected_size, "budget"
+    else:
+        size_ok, limit = len(seed) == expected_size, "formula"
+    if not size_ok:
         raise ConstructionFailedVerification(
-            f"{case}: seed has {len(seed)} vertices, formula says {expected_size}"
+            f"{case}: seed has {len(seed)} vertices, {limit} says {expected_size}"
         )
-    alpha = tuple(alpha_ids)
-    if len(seed) + len(alpha) != g.vertex_count or seed & set(alpha):
-        raise ConstructionFailedVerification(
-            f"{case}: seed and sequence do not partition the vertex set"
-        )
-    try:
-        check = validate_convinced_sequence(g, theta, seed, alpha)
-    except TssError as exc:
-        raise ConstructionFailedVerification(f"{case}: bad sequence: {exc}") from exc
-    if not check.ok:
-        raise ConstructionFailedVerification(
-            f"{case}: sequence fails at position {check.failing_position} "
-            f"({check.active_neighbors} of {check.required} active neighbors)"
-        )
-    if not check.full_influence or not is_influencing(g, theta, seed):
+    sequence = tuple(extract_convinced_sequence(g, constant_threshold(g, k), seed))
+    if len(seed) + len(sequence) != g.vertex_count:
         raise ConstructionFailedVerification(f"{case}: seed does not influence the graph")
     return SeedReport(
         family=family,
@@ -144,32 +140,23 @@ def _verified_report(
         theorem_case=case,
         claimed_value_kind=kind,
         lower_bound=lower_bound,
-        convinced_sequence=alpha,
+        convinced_sequence=sequence,
         verified=True,
     )
 
 
 def _torus_report(
-    m: int,
-    n: int,
-    case: str,
-    kind: str,
-    expected_size: int,
-    seed_coords: Sequence[Coord],
-    alpha_coords: Sequence[Coord],
+    m: int, n: int, case: str, kind: str, seed_coords: Iterable[Coord]
 ) -> SeedReport:
-    g = torus_cordalis(m, n)
-    vid = lambda c: torus_vertex_id(m, n, c[0], c[1])
     return _verified_report(
-        g,
+        torus_cordalis(m, n),
         3,
-        [vid(c) for c in seed_coords],
-        [vid(c) for c in alpha_coords],
+        [torus_vertex_id(m, n, i, j) for i, j in seed_coords],
         family="torus_cordalis",
         params={"m": m, "n": n},
         case=case,
         kind=kind,
-        expected_size=expected_size,
+        expected_size=formula_value(case, m, n),
         lower_bound=tss_lower_bound_torus(m, n),
     )
 
@@ -178,8 +165,8 @@ def _torus_report(
 # 2-threshold builders: paths, cycle permutation graphs, generalized Petersen
 # ---------------------------------------------------------------------------
 
-def _path_positions_k2(p: int) -> tuple[list[int], list[int]]:
-    """1-based seed positions and activation order for a p-path at threshold 2.
+def _path_positions_k2(p: int) -> list[int]:
+    """1-based seed positions for a p-path at threshold 2.
 
     Seeds every odd position plus the last one when p is even, so both
     endpoints are seeded and every gap vertex sits between two seeds.
@@ -187,23 +174,21 @@ def _path_positions_k2(p: int) -> tuple[list[int], list[int]]:
     seeds = list(range(1, p + 1, 2))
     if p % 2 == 0:
         seeds.append(p)
-    return seeds, list(range(2, p, 2))
+    return seeds
 
 
 def path_seed_k2(p: int) -> frozenset[int]:
     """Minimum seed for the p-path at constant threshold 2 (both ends seeded)."""
     if p < 2:
         raise BadParam("path seed needs p >= 2")
-    seeds, _ = _path_positions_k2(p)
-    return frozenset(t - 1 for t in seeds)
+    return frozenset(t - 1 for t in _path_positions_k2(p))
 
 
 def seed_cycle_permutation(n: int, permutation: Sequence[int]) -> SeedReport:
     """Size-ceil((n+1)/2) seed for a cycle permutation graph at threshold 2.
 
     Seeds an alternating set on the v-path v_3..v_n (relabeled so the matching
-    edge u_1 v_1 exists) plus u_1; the activation order finishes the v-cycle
-    and then walks the whole u-cycle.
+    edge u_1 v_1 exists) plus u_1.
     """
     if n < 4:
         raise BadParam("cycle permutation seed needs n >= 4")
@@ -213,18 +198,11 @@ def seed_cycle_permutation(n: int, permutation: Sequence[int]) -> SeedReport:
     g = cycle_permutation(n, pi)
     # rotate the v-cycle so that the ("v_1", "u_1") matching edge exists
     shift = pi.index(0)
-    rho = lambda k: (k + shift) % n
-    p = n - 2
-    spos, apos = _path_positions_k2(p)
-    seed = [rho(t + 1) for t in spos] + [n]  # id n is u_1
-    alpha = [rho(t + 1) for t in apos]
-    alpha += [rho(0), rho(1)]
-    alpha += [n + i for i in range(1, n)]
+    seed = [(t + 1 + shift) % n for t in _path_positions_k2(n - 2)] + [n]  # id n is u_1
     return _verified_report(
         g,
         2,
         seed,
-        alpha,
         family="cycle_permutation",
         params={"n": n, "pi": [x + 1 for x in pi]},
         case="T3",
@@ -238,23 +216,14 @@ def seed_generalized_petersen(m: int, s: int) -> SeedReport:
     """Size-ceil((m+1)/2) seed for P(m,s) at threshold 2.
 
     Seeds an alternating set on the outer path v_{s+1}..v_{m-s} plus the inner
-    vertices u_1..u_s; activation sweeps the remaining outer arc and then both
-    inner arcs.
+    vertices u_1..u_s.
     """
     g = generalized_petersen(m, s)  # validates m, s
-    p = m - 2 * s  # >= 1
-    spos, apos = _path_positions_k2(p)
-    seed = [s + t - 1 for t in spos] + [m + i for i in range(s)]
-    alpha = [s + t - 1 for t in apos]
-    alpha += [i - 1 for i in range(s, 0, -1)]  # v_s .. v_1
-    alpha += [m + i - 1 for i in _irange(s + 1, m - s)]  # u_{s+1} .. u_{m-s}
-    alpha += [m + i - 1 for i in _irange(m - s + 1, m)]  # u_{m-s+1} .. u_m
-    alpha += [i - 1 for i in _irange(m - s + 1, m)]  # v_{m-s+1} .. v_m
+    seed = [s + t - 1 for t in _path_positions_k2(m - 2 * s)] + [m + i for i in range(s)]
     return _verified_report(
         g,
         2,
         seed,
-        alpha,
         family="generalized_petersen",
         params={"m": m, "s": s},
         case="T4",
@@ -274,14 +243,10 @@ def seed_cordalis_n3(m: int) -> SeedReport:
         raise BadParam("need m >= 3")
     s1 = [(2 * i + 1, 1) for i in _irange(0, (m - 1) // 2)]
     s2 = [(2 * i, 2) for i in _irange(1, m // 2)]
-    seed = s1 + s2 + [(1, 3)]
-    a1 = [(2 * i, 1) for i in _irange(1, m // 2)]
-    a2 = [(2 * i + 1, 2) for i in _irange(0, (m - 1) // 2)]
-    a3 = [(i, 3) for i in _irange(2, m)]
-    return _torus_report(m, 3, "T5", EXACT, m + 1, seed, a1 + a2 + a3)
+    return _torus_report(m, 3, "T5", EXACT, s1 + s2 + [(1, 3)])
 
 
-def _t6_shared_sets(m: int, s: int, inner_top: int) -> tuple[list[Coord], list[Coord]]:
+def _t6_shared_sets(s: int, inner_top: int) -> list[Coord]:
     s1 = [
         c
         for j in _irange(0, s - 1)
@@ -299,22 +264,7 @@ def _t6_shared_sets(m: int, s: int, inner_top: int) -> tuple[list[Coord], list[C
         for i in _irange(0, inner_top)
         for c in ((6 + 2 * i, 3 + 3 * j), (7 + 2 * i, 2 + 3 * j))
     ]
-    return s1, s2
-
-
-def _t6_alpha12(m: int, s: int, inner_top: int) -> list[Coord]:
-    a1 = [
-        c
-        for j in _irange(0, s - 1)
-        for c in ((1, 2 + 3 * j), (2, 1 + 3 * j))
-    ]
-    a2 = [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, inner_top)
-        for c in ((5 + 2 * i, 3 + 3 * j), (6 + 2 * i, 2 + 3 * j))
-    ]
-    return a1 + a2
+    return s1 + s2
 
 
 def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
@@ -329,77 +279,19 @@ def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
     if m % 2 == 1:
         if m < 5:
             raise BadParam("odd case needs m >= 5")
-        alpha = _t6_alpha12(m, s, (m - 7) // 2)
-        alpha += [(i, 1) for i in _irange(5, m)]
-        alpha += [(4, 2), (3, 2), (3, 3), (2, 3), (1, 3), (m, 3)]
-        for j in _irange(0, s - 2):
-            alpha += [(i, 4 + 3 * j) for i in range(m, 3, -1)]
-            alpha += [
-                (4, 5 + 3 * j),
-                (3, 5 + 3 * j),
-                (3, 6 + 3 * j),
-                (2, 6 + 3 * j),
-                (1, 6 + 3 * j),
-                (m, 6 + 3 * j),
-            ]
-        s1, s2 = _t6_shared_sets(m, s, (m - 7) // 2)
-        seed = s1 + s2 + [(4, 1)]
-        return _torus_report(m, n, "T6a", EXACT, m * s + 1, seed, alpha)
+        return _torus_report(m, n, "T6a", EXACT, _t6_shared_sets(s, (m - 7) // 2) + [(4, 1)])
 
     if m < 8:
         raise BadParam("even case needs m >= 8")
-    s1, s2 = _t6_shared_sets(m, s, (m - 10) // 2)
     s3 = [
         c
         for j in _irange(0, s - 1)
         for c in ((m - 2, 1 + 3 * j), (m - 1, 3 + 3 * j), (m, 2 + 3 * j))
     ]
+    seed = _t6_shared_sets(s, (m - 10) // 2) + s3 + [(4, 1)]
     if s % 2 == 0:
-        seed = s1 + s2 + s3 + [(4, 1)]
-        alpha = _t6_alpha12(m, s, (m - 10) // 2)
-        alpha += [(i, 1) for i in _irange(5, m - 3)] + [(m - 3, n)]
-        alpha += [(4, 2), (3, 2), (3, 3), (2, 3), (1, 3), (m, 3)]
-        for k in _irange(0, (s - 4) // 2):
-            c = 6 * k
-            alpha += [
-                (m, 4 + c), (m - 1, 4 + c), (m - 1, 5 + c),
-                (m - 2, 5 + c), (m - 2, 6 + c), (m - 3, 6 + c),
-            ]
-            alpha += [(i, 7 + c) for i in range(m - 3, 3, -1)]
-            alpha += [(4, 8 + c), (3, 8 + c), (3, 9 + c), (2, 9 + c), (1, 9 + c), (m, 9 + c)]
-        alpha += [(m, n - 2), (m - 1, n - 2), (m - 1, n - 1), (m - 2, n - 1), (m - 2, n)]
-        for k in _irange(0, (s - 2) // 2):
-            c = 6 * k
-            alpha += [
-                (m, 1 + c), (m - 1, 1 + c), (m - 1, 2 + c),
-                (m - 2, 2 + c), (m - 2, 3 + c), (m - 3, 3 + c),
-            ]
-            alpha += [(i, 4 + c) for i in range(m - 3, 3, -1)]
-            alpha += [(4, 5 + c), (3, 5 + c), (3, 6 + c), (2, 6 + c), (1, 6 + c), (m, 6 + c)]
-        return _torus_report(m, n, "T6b", EXACT, m * s + 1, seed, alpha)
-
-    seed = s1 + s2 + s3 + [(4, 1), (m - 1, 1)]
-    alpha = _t6_alpha12(m, s, (m - 10) // 2)
-    alpha += [(i, 1) for i in _irange(5, m - 3)]
-    alpha += [(4, 2), (3, 2), (3, 3), (2, 3), (1, 3), (m, 3)]
-    alpha += [(m, 1), (m - 1, 2), (m - 2, 2), (m - 2, 3), (m - 3, 3)]
-    for k in _irange(0, (s - 3) // 2):
-        c = 6 * k
-        alpha += [(i, 4 + c) for i in range(m - 3, 3, -1)]
-        alpha += [(4, 5 + c), (3, 5 + c), (3, 6 + c), (2, 6 + c), (1, 6 + c), (m, 6 + c)]
-        alpha += [
-            (m, 7 + c), (m - 1, 7 + c), (m - 1, 8 + c),
-            (m - 2, 8 + c), (m - 2, 9 + c), (m - 3, 9 + c),
-        ]
-    for k in _irange(0, (s - 3) // 2):
-        c = 6 * k
-        alpha += [
-            (m, 4 + c), (m - 1, 4 + c), (m - 1, 5 + c),
-            (m - 2, 5 + c), (m - 2, 6 + c), (m - 3, 6 + c),
-        ]
-        alpha += [(i, 7 + c) for i in range(m - 3, 3, -1)]
-        alpha += [(4, 8 + c), (3, 8 + c), (3, 9 + c), (2, 9 + c), (1, 9 + c), (m, 9 + c)]
-    return _torus_report(m, n, "T6c", GAP_ONE, m * s + 2, seed, alpha)
+        return _torus_report(m, n, "T6b", EXACT, seed)
+    return _torus_report(m, n, "T6c", GAP_ONE, seed + [(m - 1, 1)])
 
 
 def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
@@ -407,43 +299,9 @@ def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
     if n < 4 or n % 3 != 1:
         raise BadParam("need n >= 4 with n = 3s+1")
     s = (n - 1) // 3
-
-    if m % 2 == 1:
-        if m < 5:
-            raise BadParam("odd case needs m >= 5")
-        s1 = [
-            c
-            for j in _irange(0, s - 1)
-            for c in (
-                (1, 2 + 3 * j), (2, 3 + 3 * j), (3, 2 + 3 * j),
-                (4, 4 + 3 * j), (5, 3 + 3 * j),
-            )
-        ]
-        s2 = [(i, 1) for i in range(6, m, 2)]
-        s3 = [
-            c
-            for j in _irange(0, s - 1)
-            for i in _irange(0, (m - 7) // 2)
-            for c in ((6 + 2 * i, 4 + 3 * j), (7 + 2 * i, 3 + 3 * j))
-        ]
-        seed = [(1, 1), (2, 1), (4, 1)] + s1 + s2 + s3
-        alpha = [
-            c for j in _irange(0, s - 1) for c in ((1, 3 + 3 * j), (2, 2 + 3 * j))
-        ]
-        alpha += [
-            c
-            for j in _irange(0, s - 1)
-            for i in _irange(0, (m - 7) // 2)
-            for c in ((5 + 2 * i, 4 + 3 * j), (6 + 2 * i, 3 + 3 * j))
-        ]
-        alpha += [(i, 1) for i in range(3, m + 1, 2)]
-        for j in _irange(0, s - 1):
-            c = 3 * j
-            alpha += [(i, 2 + c) for i in range(m, 3, -1)]
-            alpha += [(4, 3 + c), (3, 3 + c), (3, 4 + c), (2, 4 + c), (1, 4 + c), (m, 4 + c)]
-        return _torus_report(m, n, "T7c1", UPPER, m * s + (m + 1) // 2, seed, alpha)
-
-    if m < 8:
+    if m % 2 == 1 and m < 5:
+        raise BadParam("odd case needs m >= 5")
+    if m % 2 == 0 and m < 8:
         raise BadParam("even case needs m >= 8")
     s1 = [
         c
@@ -453,208 +311,37 @@ def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
             (4, 4 + 3 * j), (5, 3 + 3 * j),
         )
     ]
-    s2 = [(i, 1) for i in range(6, m - 3, 2)]
+    inner_top = (m - 7) // 2 if m % 2 == 1 else (m - 10) // 2
     s3 = [
         c
         for j in _irange(0, s - 1)
-        for i in _irange(0, (m - 10) // 2)
+        for i in _irange(0, inner_top)
         for c in ((6 + 2 * i, 4 + 3 * j), (7 + 2 * i, 3 + 3 * j))
     ]
+    corner = [(1, 1), (2, 1), (4, 1)]
+    if m % 2 == 1:
+        s2 = [(i, 1) for i in range(6, m, 2)]
+        return _torus_report(m, n, "T7c1", UPPER, corner + s1 + s2 + s3)
+
+    s2 = [(i, 1) for i in range(6, m - 3, 2)]
     s4 = [
         c
         for j in _irange(0, s - 1)
         for c in ((m - 2, 2 + 3 * j), (m - 1, 4 + 3 * j), (m, 3 + 3 * j))
     ]
-    alpha = [c for j in _irange(0, s - 1) for c in ((1, 3 + 3 * j), (2, 2 + 3 * j))]
-    alpha += [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, (m - 10) // 2)
-        for c in ((5 + 2 * i, 4 + 3 * j), (6 + 2 * i, 3 + 3 * j))
-    ]
+    seed = s1 + s2 + s3 + s4 + corner + [(m - 1, 1)]
     if s % 2 == 1:
-        seed = s1 + s2 + s3 + s4 + [(1, 1), (2, 1), (4, 1), (m - 1, 1)]
-        alpha += [(i, 1) for i in range(3, m - 4, 2)]
-        alpha += [(m, 1), (m, 2), (m - 1, 2), (m - 1, 3), (m - 2, 3), (m - 2, 4), (m - 3, 4)]
-        for k in _irange(0, (s - 3) // 2):
-            c = 6 * k
-            alpha += [(i, 5 + c) for i in range(m - 3, 3, -1)]
-            alpha += [(4, 6 + c), (3, 6 + c), (3, 7 + c), (2, 7 + c), (1, 7 + c), (m, 7 + c)]
-            alpha += [
-                (m, 8 + c), (m - 1, 8 + c), (m - 1, 9 + c),
-                (m - 2, 9 + c), (m - 2, 10 + c), (m - 3, 10 + c),
-            ]
-        alpha += [(m - 2, 1), (m - 3, 1)]
-        alpha += [(i, 2) for i in range(m - 3, 3, -1)]
-        alpha += [(4, 3), (3, 3), (3, 4), (2, 4), (1, 4), (m, 4)]
-        for k in _irange(0, (s - 3) // 2):
-            c = 6 * k
-            alpha += [
-                (m, 5 + c), (m - 1, 5 + c), (m - 1, 6 + c),
-                (m - 2, 6 + c), (m - 2, 7 + c), (m - 3, 7 + c),
-            ]
-            alpha += [(i, 8 + c) for i in range(m - 3, 3, -1)]
-            alpha += [(4, 9 + c), (3, 9 + c), (3, 10 + c), (2, 10 + c), (1, 10 + c), (m, 10 + c)]
-        return _torus_report(m, n, "T7c2", UPPER, m * s + m // 2, seed, alpha)
-
-    seed = s1 + s2 + s3 + s4 + [(1, 1), (2, 1), (4, 1), (m - 2, 1), (m - 1, 1)]
-    alpha += [(i, 1) for i in range(3, m - 2, 2)] + [(m, 1)]
-    for k in _irange(0, (s - 2) // 2):
-        c = 6 * k
-        alpha += [(i, 2 + c) for i in range(m - 3, 3, -1)]
-        alpha += [(4, 3 + c), (3, 3 + c), (3, 4 + c), (2, 4 + c), (1, 4 + c), (m, 4 + c)]
-        alpha += [
-            (m, 5 + c), (m - 1, 5 + c), (m - 1, 6 + c),
-            (m - 2, 6 + c), (m - 2, 7 + c), (m - 3, 7 + c),
-        ]
-    for k in _irange(0, (s - 2) // 2):
-        c = 6 * k
-        alpha += [
-            (m, 2 + c), (m - 1, 2 + c), (m - 1, 3 + c),
-            (m - 2, 3 + c), (m - 2, 4 + c), (m - 3, 4 + c),
-        ]
-        alpha += [(i, 5 + c) for i in range(m - 3, 3, -1)]
-        alpha += [(4, 6 + c), (3, 6 + c), (3, 7 + c), (2, 7 + c), (1, 7 + c), (m, 7 + c)]
-    return _torus_report(m, n, "T7c3", UPPER, m * s + m // 2 + 1, seed, alpha)
-
-
-def _t8_sets(m: int, s: int, first: int, top: int, wide: bool):
-    """The four seed blocks shared by the n=3s+2 cases.
-
-    `first` is the first interior row block (4 when the left margin is 3 rows,
-    6 when it is 5), `top` the inclusive upper block index, `wide` selects the
-    5-row right margin over the 2-row one.
-    """
-    left = (
-        [(1, 3), (2, 4), (3, 3)] if first == 4 else [(1, 3), (2, 4), (3, 3), (4, 5), (5, 3)]
-    )
-    s1 = [(r, c + 3 * j) for j in _irange(0, s - 1) for (r, c) in left]
-    s2 = [
-        c
-        for i in _irange(0, top)
-        for c in ((first + 4 * i, 1), (first + 2 + 4 * i, 1), (first + 2 + 4 * i, 2))
-    ]
-    s3 = [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, top)
-        for c in (
-            (first + 4 * i, 5 + 3 * j),
-            (first + 1 + 4 * i, 3 + 3 * j),
-            (first + 2 + 4 * i, 5 + 3 * j),
-            (first + 3 + 4 * i, 3 + 3 * j),
-        )
-    ]
-    right = (
-        [(m - 4, 5), (m - 3, 4), (m - 2, 3), (m - 1, 5), (m, 4)]
-        if wide
-        else [(m - 1, 5), (m, 4)]
-    )
-    s4 = [(r, c + 3 * j) for j in _irange(0, s - 1) for (r, c) in right]
-    return s1, s2, s3, s4
-
-
-def _t8_alpha_head(m: int, s: int, first: int, top: int) -> list[Coord]:
-    """Alpha blocks shared by all n=3s+2 cases: the left margin and interior."""
-    alpha = [c for j in _irange(0, s - 1) for c in ((1, 4 + 3 * j), (2, 3 + 3 * j))]
-    if first == 6:
-        alpha += [(4, 2), (5, 1)]
-    alpha += [
-        c
-        for i in _irange(0, top)
-        for c in (
-            (first + 3 + 4 * i, 1),
-            (first + 3 + 4 * i, 2),
-            (first + 1 + 4 * i, 1),
-            (first + 1 + 4 * i, 2),
-            (first + 4 * i, 2),
-        )
-    ]
-    if first == 6:
-        alpha += [c for j in _irange(0, s - 1) for c in ((4, 3 + 3 * j), (5, 5 + 3 * j))]
-    alpha += [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, top)
-        for c in (
-            (first + 4 * i, 3 + 3 * j),
-            (first + 1 + 4 * i, 5 + 3 * j),
-            (first + 2 + 4 * i, 3 + 3 * j),
-            (first + 3 + 4 * i, 5 + 3 * j),
-        )
-    ]
-    return alpha
-
-
-def _t8_wide_even_tail(m: int, s: int) -> list[Coord]:
-    """Right-margin alpha blocks for the wide cases with even s."""
-    alpha = [(m - 4, 2), (m - 3, 1)]
-    for k in _irange(0, (s - 2) // 2):
-        c = 6 * k
-        alpha += [(m - 3, 3 + c), (m - 4, 3 + c)]
-        alpha += [(i, 4 + c) for i in range(m - 4, 2, -1)]
-        alpha += [(3, 5 + c), (2, 5 + c), (1, 5 + c), (m, 5 + c)]
-        alpha += [
-            (m, 6 + c), (m - 1, 6 + c), (m - 1, 7 + c),
-            (m - 2, 7 + c), (m - 2, 8 + c), (m - 3, 8 + c),
-        ]
-    alpha += [(m - 2, 1), (m - 2, 2), (m - 1, 2), (m, 1)]
-    alpha += [(3, 1), (2, 2), (1, 2), (1, 1)]
-    for k in _irange(0, (s - 2) // 2):
-        c = 6 * k
-        alpha += [
-            (m, 3 + c), (m - 1, 3 + c), (m - 1, 4 + c), (m - 2, 4 + c),
-            (m - 2, 5 + c), (m - 3, 5 + c), (m - 3, 6 + c), (m - 4, 6 + c),
-        ]
-        alpha += [(i, 7 + c) for i in range(m - 4, 2, -1)]
-        alpha += [(3, 8 + c), (2, 8 + c), (1, 8 + c), (m, 8 + c)]
-    return alpha
-
-
-def _t8_wide_odd_tail(m: int, s: int) -> list[Coord]:
-    """Right-margin alpha blocks for the wide cases with odd s."""
-    alpha = [(m - 4, 2), (m - 3, 1), (m - 2, 2), (m - 1, 2), (m, 1)]
-    alpha += [(3, 1), (2, 2), (1, 2), (1, 1)]
-    alpha += [(m - 3, 3), (m - 4, 3)]
-    alpha += [(i, 4) for i in range(m - 4, 2, -1)]
-    alpha += [(3, 5), (2, 5), (1, 5), (m, 5)]
-    alpha += [(m, 3), (m - 1, 3), (m - 1, 4), (m - 2, 4), (m - 2, 5), (m - 3, 5)]
-    for k in _irange(0, (s - 3) // 2):
-        c = 6 * k
-        alpha += [(m - 3, 6 + c), (m - 4, 6 + c)]
-        alpha += [(i, 7 + c) for i in range(m - 4, 2, -1)]
-        alpha += [(3, 8 + c), (2, 8 + c), (1, 8 + c), (m, 8 + c)]
-        alpha += [
-            (m, 9 + c), (m - 1, 9 + c), (m - 1, 10 + c),
-            (m - 2, 10 + c), (m - 2, 11 + c), (m - 3, 11 + c),
-        ]
-    for k in _irange(0, (s - 3) // 2):
-        c = 6 * k
-        alpha += [
-            (m, 6 + c), (m - 1, 6 + c), (m - 1, 7 + c), (m - 2, 7 + c),
-            (m - 2, 8 + c), (m - 3, 8 + c), (m - 3, 9 + c), (m - 4, 9 + c),
-        ]
-        alpha += [(i, 10 + c) for i in range(m - 4, 2, -1)]
-        alpha += [(3, 11 + c), (2, 11 + c), (1, 11 + c), (m, 11 + c)]
-    return alpha
-
-
-def _t8_narrow_tail(m: int, s: int) -> list[Coord]:
-    """Right-margin alpha blocks for the 2-row-margin cases (m = 4t+1, 4t+3)."""
-    alpha = [(m - 1, 2), (m, 1)]
-    alpha += [(3, 1), (2, 2), (1, 2), (1, 1)]
-    for j in _irange(0, s - 1):
-        c = 3 * j
-        alpha += [(m, 3 + c), (m - 1, 3 + c)]
-        alpha += [(i, 4 + c) for i in range(m - 1, 2, -1)]
-        alpha += [(3, 5 + c), (2, 5 + c), (1, 5 + c), (m, 5 + c)]
-    return alpha
+        return _torus_report(m, n, "T7c2", UPPER, seed)
+    return _torus_report(m, n, "T7c3", UPPER, seed + [(m - 2, 1)])
 
 
 def seed_cordalis_n2mod3(m: int, n: int) -> SeedReport:
     """Seeds for the m x n torus cordalis with n = 3s+2, m >= 10, n >= 5.
 
     Dispatches on m mod 4 and the parity of s into six cases (upper bounds).
+    The left margin is 3 rows for m = 4t, 4t+1 and 5 rows for m = 4t+2, 4t+3;
+    the right margin is 5 rows for even m and 2 rows for odd m. Between them
+    sit interior blocks of four rows.
     """
     if m < 10:
         raise BadParam("need m >= 10")
@@ -662,50 +349,35 @@ def seed_cordalis_n2mod3(m: int, n: int) -> SeedReport:
         raise BadParam("need n >= 5 with n = 3s+2")
     s = (n - 2) // 3
     t, r = divmod(m, 4)
-    if r == 0:
-        s1, s2, s3, s4 = _t8_sets(m, s, 4, t - 3, wide=True)
-        head = _t8_alpha_head(m, s, 4, t - 3)
-        if s % 2 == 0:
-            seed = [(2, 1), (3, 2), (m - 4, 1), (m - 3, 2), (m - 1, 1), (m, 2)]
-            alpha = head + _t8_wide_even_tail(m, s)
-            return _torus_report(
-                m, n, "T8c1", UPPER, 4 * t * s + 3 * t, seed + s1 + s2 + s3 + s4, alpha
-            )
-        seed = [(2, 1), (3, 2), (m - 4, 1), (m - 3, 2), (m - 2, 1), (m - 1, 1), (m, 2)]
-        alpha = head + _t8_wide_odd_tail(m, s)
-        return _torus_report(
-            m, n, "T8c2", UPPER, 4 * t * s + 3 * t + 1, seed + s1 + s2 + s3 + s4, alpha
+    first = 4 if r < 2 else 6  # first row of the interior blocks
+    wide = r % 2 == 0  # 5-row right margin
+    top = t - 3 if wide else t - 2  # inclusive upper interior block index
+    left = [(1, 3), (2, 4), (3, 3)] + ([(4, 5), (5, 3)] if first == 6 else [])
+    right = [(m - 1, 5), (m, 4)] + ([(m - 4, 5), (m - 3, 4), (m - 2, 3)] if wide else [])
+    seed = [(i, c + 3 * j) for j in _irange(0, s - 1) for i, c in left + right]
+    seed += [
+        c
+        for b in _irange(0, top)
+        for c in ((first + 4 * b, 1), (first + 2 + 4 * b, 1), (first + 2 + 4 * b, 2))
+    ]
+    seed += [
+        c
+        for j in _irange(0, s - 1)
+        for b in _irange(0, top)
+        for c in (
+            (first + 4 * b, 5 + 3 * j),
+            (first + 1 + 4 * b, 3 + 3 * j),
+            (first + 2 + 4 * b, 5 + 3 * j),
+            (first + 3 + 4 * b, 3 + 3 * j),
         )
-    if r == 1:
-        s1, s2, s3, s4 = _t8_sets(m, s, 4, t - 2, wide=False)
-        seed = [(2, 1), (3, 2), (m - 1, 1), (m, 2)]
-        alpha = _t8_alpha_head(m, s, 4, t - 2) + _t8_narrow_tail(m, s)
-        return _torus_report(
-            m, n, "T8c3", UPPER, (4 * t + 1) * s + 3 * t + 1, seed + s1 + s2 + s3 + s4, alpha
-        )
-    if r == 2:
-        s1, s2, s3, s4 = _t8_sets(m, s, 6, t - 3, wide=True)
-        head = _t8_alpha_head(m, s, 6, t - 3)
-        if s % 2 == 0:
-            seed = [(2, 1), (3, 2), (4, 1), (5, 2), (m - 4, 1), (m - 3, 2), (m - 1, 1), (m, 2)]
-            alpha = head + _t8_wide_even_tail(m, s)
-            return _torus_report(
-                m, n, "T8c4", UPPER, (4 * t + 2) * s + 3 * t + 2, seed + s1 + s2 + s3 + s4, alpha
-            )
-        seed = [
-            (2, 1), (3, 2), (4, 1), (5, 2),
-            (m - 4, 1), (m - 3, 2), (m - 2, 1), (m - 1, 1), (m, 2),
-        ]
-        alpha = head + _t8_wide_odd_tail(m, s)
-        return _torus_report(
-            m, n, "T8c5", UPPER, (4 * t + 2) * s + 3 * t + 3, seed + s1 + s2 + s3 + s4, alpha
-        )
-    s1, s2, s3, s4 = _t8_sets(m, s, 6, t - 2, wide=False)
-    seed = [(2, 1), (3, 2), (4, 1), (5, 2), (m - 1, 1), (m, 2)]
-    alpha = _t8_alpha_head(m, s, 6, t - 2) + _t8_narrow_tail(m, s)
-    return _torus_report(
-        m, n, "T8c6", UPPER, (4 * t + 3) * s + 3 * t + 3, seed + s1 + s2 + s3 + s4, alpha
-    )
+    ]
+    seed += [(2, 1), (3, 2), (m - 1, 1), (m, 2)]
+    if first == 6:
+        seed += [(4, 1), (5, 2)]
+    if wide:
+        seed += [(m - 4, 1), (m - 3, 2)] + ([(m - 2, 1)] if s % 2 == 1 else [])
+    number = {0: 1, 1: 3, 2: 4, 3: 6}[r] + (s % 2 if wide else 0)
+    return _torus_report(m, n, f"T8c{number}", UPPER, seed)
 
 
 def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
@@ -731,21 +403,7 @@ def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
             for i in _irange(0, t - 2)
             for c in ((4 + 3 * i, 4 + 2 * j), (5 + 3 * i, 3 + 2 * j))
         ]
-        seed = s1 + s2 + s3 + [(3, 1)]
-        alpha = [
-            c for j in _irange(0, (n - 2) // 2) for c in ((2, 1 + 2 * j), (1, 2 + 2 * j))
-        ]
-        alpha += [
-            c
-            for i in _irange(0, t - 2)
-            for j in _irange(0, (n - 4) // 2)
-            for c in ((4 + 3 * i, 3 + 2 * j), (5 + 3 * i, 4 + 2 * j))
-        ]
-        alpha += [(3, j) for j in _irange(2, n)]
-        for i in _irange(0, t - 2):
-            alpha += [(4 + 3 * i, 1), (5 + 3 * i, 1), (5 + 3 * i, 2)]
-            alpha += [(6 + 3 * i, j) for j in _irange(2, n)]
-        return _torus_report(m, n, "T9even", EXACT, t * n + 1, seed, alpha)
+        return _torus_report(m, n, "T9even", EXACT, s1 + s2 + s3 + [(3, 1)])
 
     if n < 5:
         return seed_cordalis_n3(m)
@@ -761,26 +419,7 @@ def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
         for i in _irange(0, t - 2)
         for c in ((4 + 3 * i, 4 + 2 * j), (5 + 3 * i, 5 + 2 * j))
     ]
-    seed = s1 + s2 + s3 + [(1, 3)]
-    alpha = [
-        c for j in _irange(0, (n - 3) // 2) for c in ((2, 1 + 2 * j), (1, 2 + 2 * j))
-    ]
-    alpha += [
-        c
-        for i in _irange(0, t - 2)
-        for j in _irange(0, (n - 7) // 2)
-        for c in ((4 + 3 * i, 5 + 2 * j), (5 + 3 * i, 6 + 2 * j))
-    ]
-    for i in _irange(0, t - 2):
-        r = 3 * i
-        alpha += [(m - r, j) for j in range(n, 3, -1)]
-        alpha += [
-            (m - 1 - r, 4), (m - 1 - r, 3), (m - 2 - r, 3), (m - 2 - r, 2),
-            (m - r, 2), (m - r, 1), (m - 1 - r, 1), (m - 2 - r, n),
-        ]
-    alpha += [(3, 2), (3, 1), (2, n)]
-    alpha += [(3, j) for j in range(n, 3, -1)]
-    return _torus_report(m, n, "T9odd", EXACT, t * n + 1, seed, alpha)
+    return _torus_report(m, n, "T9odd", EXACT, s1 + s2 + s3 + [(1, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -808,27 +447,16 @@ def _fallback_seed_ids(m: int, n: int) -> set[int]:
 
 
 def _fallback_report(m: int, n: int) -> SeedReport:
-    g = torus_cordalis(m, n)
-    theta = constant_threshold(g, 3)
-    seed = frozenset(_fallback_seed_ids(m, n))
-    budget = flocchini_upper(m, n, "cordalis")
-    if len(seed) > budget:
-        raise ConstructionFailedVerification(
-            f"fallback ({m},{n}): {len(seed)} seeds exceed the {budget} budget"
-        )
-    if not is_influencing(g, theta, seed):
-        raise ConstructionFailedVerification(f"fallback ({m},{n}): seed does not influence")
-    alpha = tuple(extract_convinced_sequence(g, theta, seed))
-    return SeedReport(
+    return _verified_report(
+        torus_cordalis(m, n),
+        3,
+        _fallback_seed_ids(m, n),
         family="torus_cordalis",
         params={"m": m, "n": n},
-        seed=seed,
-        size=len(seed),
-        theorem_case="fallback",
-        claimed_value_kind=UPPER,
+        case="fallback",
+        kind=UPPER,
+        expected_size=flocchini_upper(m, n, "cordalis"),
         lower_bound=tss_lower_bound_torus(m, n),
-        convinced_sequence=alpha,
-        verified=True,
     )
 
 

@@ -139,14 +139,14 @@ def graph_to_json(g: Graph, thresholds: Iterable[int] | None = None) -> str:
     return json.dumps(doc)
 
 
-def _not_int(what: str, value: object) -> NoReturn:
-    raise BadParam(f"{what} must be an integer, got {json.dumps(value)}")
+def _wrong_type(what: str, value: object, kind: str = "an integer") -> NoReturn:
+    raise BadParam(f"{what} must be {kind}, got {json.dumps(value)}")
 
 
 def int_list(values: Iterable, what: str) -> list[int]:
     """`values` as a list of ints; a value whose type is not exactly int
     (a float, a string or a bool) is a BadParam, never coerced."""
-    return [x if type(x) is int else _not_int(what, x) for x in values]
+    return [x if type(x) is int else _wrong_type(what, x) for x in values]
 
 
 def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
@@ -160,14 +160,17 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
     try:
         n = doc["n"]
         if type(n) is not int:
-            _not_int("n", n)
+            _wrong_type("n", n)
         edges = [
-            (u, v) if type(u) is int and type(v) is int else _not_int("edge endpoint", [u, v])
+            (u, v) if type(u) is int and type(v) is int else _wrong_type("edge endpoint", [u, v])
             for u, v in doc["edges"]
         ]
         labels = None
         if doc.get("labels") is not None:
-            labels = {int(k): str(v) for k, v in doc["labels"].items()}
+            labels = {
+                int(k): v if type(v) is str else _wrong_type("label", v, "a string")
+                for k, v in doc["labels"].items()
+            }
         thresholds = None
         if doc.get("thresholds") is not None:
             thresholds = int_list(doc["thresholds"], "threshold")

@@ -28,6 +28,15 @@ class SolveLimits:
     time_budget_s: float | None = None
     max_size: int | None = None
 
+    def __post_init__(self) -> None:
+        # `not x >= 0` also rejects a NaN time budget
+        if not self.max_vertices >= 0:
+            raise BadParam(f"max_vertices must be non-negative, got {self.max_vertices}")
+        if self.max_size is not None and not self.max_size >= 0:
+            raise BadParam(f"max_size must be non-negative, got {self.max_size}")
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
+            raise BadParam(f"time_budget_s must be non-negative, got {self.time_budget_s}")
+
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -235,3 +235,23 @@ def test_seed_file_ids_are_not_coerced(capsys, tmp_path):
         assert code == 2 and "must be an integer" in err
     seed_file.write_text("1, 0 2")  # plain text ids still parse
     assert run(capsys, *args)[0] == 0
+
+
+def test_negative_solver_limits_exit_2(capsys):
+    bad_limits = (("--max-size", "-1"), ("--time-budget", "-1"), ("--max-vertices", "-1"),
+                  ("--time-budget", "nan"))
+    for command in (("exact",), ("check-optimal", "--claimed", "4")):
+        for flag, value in bad_limits:
+            code, out, err = run(
+                capsys, *command, "--family", "cordalis", "--m", "3", "--n", "3",
+                "--k", "3", flag, value,
+            )
+            assert code == 2 and out == ""
+            assert "must be non-negative" in err
+    # zero limits are valid
+    code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
+                       "--k", "3", "--max-size", "0")
+    assert code == 1 and json.loads(out)["status"] == "budget_exceeded"
+    code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
+                       "--k", "3", "--time-budget", "0")
+    assert code == 0 and json.loads(out)["optimum"] == 4

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from tss import (
     BadParam,
+    ConstructionFailedVerification,
     closure,
     constant_threshold,
     cycle_permutation,
@@ -13,6 +16,7 @@ from tss import (
     identity_permutation,
     is_influencing,
     lower_bound_lemma,
+    parallel_trace,
     path,
     path_seed_k2,
     seed_cordalis_m0mod3,
@@ -27,7 +31,7 @@ from tss import (
     tss_lower_bound_torus,
     validate_convinced_sequence,
 )
-from tss.constructions import formula_value
+from tss.constructions import _verified_report, formula_value
 from helpers import naive_closure, naive_min_seed
 
 
@@ -315,3 +319,69 @@ def test_report_to_dict_shape():
     assert doc["lower_bound"] == 97
     assert doc["verified"] is True
     assert len(doc["seed"]) == 97
+
+
+# -- pinned seed sets and the verification gate ---------------------------------
+
+# sha256 over every report below: it pins the seed ids, case tags, sizes,
+# kinds and lower bounds of the builders; change it only together with a
+# construction that is meant to change
+SEED_DIGEST = "5d4a3e5405976df2d55d0464ab75173f1dbe2cec9ebeecb27fad42111c5540c2"
+
+
+def test_seed_sets_match_pinned_digest():
+    digest = hashlib.sha256()
+    reports = [
+        seed_torus_cordalis(m, n) for m in range(3, 201) for n in range(2, 400 // m + 1)
+    ]
+    reports += [
+        seed_generalized_petersen(m, s) for m in range(5, 31) for s in range(1, (m - 1) // 2 + 1)
+    ]
+    reports += [seed_cycle_permutation(n, identity_permutation(n)) for n in range(4, 31)]
+    for report in reports:
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == SEED_DIGEST
+
+
+def _gate(report, seed, expected_size):
+    m, n = report.params["m"], report.params["n"]
+    return _verified_report(
+        torus_cordalis(m, n),
+        3,
+        seed,
+        family=report.family,
+        params=report.params,
+        case=report.theorem_case,
+        kind=report.claimed_value_kind,
+        expected_size=expected_size,
+        lower_bound=report.lower_bound,
+    )
+
+
+def test_gate_rejects_wrong_size_and_non_influencing_seeds():
+    report = seed_cordalis_n3s(7, 3)  # T6a, exact
+    assert _gate(report, report.seed, report.size).convinced_sequence == report.convinced_sequence
+    with pytest.raises(ConstructionFailedVerification, match="formula says"):
+        _gate(report, report.seed, report.size + 1)
+    # an exact seed minus any vertex cannot influence
+    smaller = report.seed - {min(report.seed)}
+    with pytest.raises(ConstructionFailedVerification, match="does not influence"):
+        _gate(report, smaller, report.size - 1)
+
+
+def test_gate_holds_the_fallback_to_its_budget():
+    report = seed_torus_cordalis(5, 5)
+    assert report.theorem_case == "fallback"
+    assert _gate(report, report.seed, report.size).verified  # the budget is an upper limit
+    with pytest.raises(ConstructionFailedVerification, match="budget says"):
+        _gate(report, report.seed, report.size - 1)
+    # below the budget, a non-influencing seed still fails the simulation
+    with pytest.raises(ConstructionFailedVerification, match="does not influence"):
+        _gate(report, report.seed - {min(report.seed)}, report.size)
+
+
+def test_convinced_sequence_is_round_by_round():
+    report = seed_cordalis_n3(7)
+    g = torus_cordalis(7, 3)
+    trace = parallel_trace(g, constant_threshold(g, 3), report.seed)
+    assert report.convinced_sequence == tuple(v for r in trace.rounds for v in sorted(r))

@@ -142,6 +142,7 @@ def test_json_rejects_garbage():
         '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}',
         '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1, 1]]}',
         '{"format": "tss-graph-v1", "edges": [[0, 1]]}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": 5, "1": [1]}}',
     ]:
         with pytest.raises(BadParam):
             graph_from_json(doc)
