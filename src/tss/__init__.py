@@ -53,7 +53,6 @@ from .families import (
 from .graph import (
     Graph,
     build_graph,
-    degree,
     graph_from_json,
     graph_to_dot,
     graph_to_json,

@@ -37,9 +37,15 @@ def lower_bound_lemma(g: Graph, k: int) -> int:
         raise BadParam("constant threshold k must be >= 1")
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("lower bound requires a connected non-empty graph")
-    delta = max(g.degree(v) for v in g.vertices())
+    delta = max(len(a) for a in g.adjacency)
     num = len(g.edges) - (delta - k) * g.vertex_count + 1
     return max(0, _ceil_div(num, k))
+
+
+def cubic_seed_size(p: int) -> int:
+    """ceil((p+1)/2): the minimum seed at threshold 2 of a cycle permutation
+    graph on two p-cycles (Theorem 3) and of P(p, s) (Theorem 4)."""
+    return (p + 2) // 2
 
 
 def tss_lower_bound_torus(m: int, n: int) -> int:

@@ -257,7 +257,7 @@ def cmd_bounds(args) -> int:
         upper = g.vertex_count
         if values[0] == 2 and getattr(args, "family", None) in ("gpg", "cp"):
             # the verified seed construction is the best known upper bound here
-            upper = (_req(args, "m") + 2) // 2 if args.family == "gpg" else (_req(args, "n") + 2) // 2
+            upper = bounds_mod.cubic_seed_size(_req(args, "m" if args.family == "gpg" else "n"))
         doc = {
             "lower": bounds_mod.lower_bound_lemma(g, values[0]),
             "upper": upper,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .activation import extract_convinced_sequence
-from .bounds import flocchini_upper, tss_lower_bound_torus
+from .bounds import cubic_seed_size, flocchini_upper, tss_lower_bound_torus
 from .errors import BadParam, ConstructionFailedVerification
 from .families import (
     check_permutation,
@@ -207,8 +207,8 @@ def seed_cycle_permutation(n: int, permutation: Sequence[int]) -> SeedReport:
         params={"n": n, "pi": [x + 1 for x in pi]},
         case="T3",
         kind=EXACT,
-        expected_size=(n + 2) // 2,
-        lower_bound=(n + 2) // 2,
+        expected_size=cubic_seed_size(n),
+        lower_bound=cubic_seed_size(n),
     )
 
 
@@ -228,8 +228,8 @@ def seed_generalized_petersen(m: int, s: int) -> SeedReport:
         params={"m": m, "s": s},
         case="T4",
         kind=EXACT,
-        expected_size=(m + 2) // 2,
-        lower_bound=(m + 2) // 2,
+        expected_size=cubic_seed_size(m),
+        lower_bound=cubic_seed_size(m),
     )
 
 

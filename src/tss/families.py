@@ -2,6 +2,11 @@
 
 Vertex ids are 0-based and contiguous; the 1-based coordinates used in the
 display labels ("v3", "u1", "(2,5)") exist only in each graph's label map.
+
+The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and are built
+from closed-form neighbour tuples instead of through `build_graph`: the torus
+cordalis is the circulant C_mn(1, n), and the mesh and the serpentinus differ
+from it only at the row ends and in the first and last rows respectively.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BadParam, BadPermutation, NonSimpleResult
-from .graph import Graph, build_graph
+from .graph import Graph, _graph_from_neighbours, build_graph
 
 
 def identity_permutation(n: int) -> tuple[int, ...]:
@@ -88,67 +93,60 @@ def torus_vertex_id(m: int, n: int, i: int, j: int) -> int:
 
 
 def _torus_labels(m: int, n: int) -> dict[int, str]:
-    return {
-        torus_vertex_id(m, n, i, j): f"({i},{j})"
-        for i in range(1, m + 1)
-        for j in range(1, n + 1)
-    }
+    return dict(enumerate(f"({i},{j})" for i in range(1, m + 1) for j in range(1, n + 1)))
+
+
+def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
+    """Graph from row-major neighbour tuples whose ids may lie outside 0..mn-1.
+
+    Tuples of the interior rows must already be sorted and in range; only
+    the first and last rows (ids below n and from mn-n on) are reduced mod
+    mn and sorted here.
+    """
+    N = m * n
+    for k in (*range(n), *range(N - n, N)):
+        nbrs[k] = tuple(sorted(v % N for v in nbrs[k]))
+    return _graph_from_neighbours(nbrs, _torus_labels(m, n))
 
 
 def toroidal_mesh(m: int, n: int) -> Graph:
     """m x n torus grid: (i,j) adjacent to (i±1,j) and (i,j±1), wrapping."""
     if m < 3 or n < 3:
         raise BadParam("toroidal mesh needs m >= 3 and n >= 3")
-    vid = lambda i, j: torus_vertex_id(m, n, i, j)
-    edges = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            edges.append((vid(i, j), vid(i + 1, j)))
-            edges.append((vid(i, j), vid(i, j + 1)))
-    return build_graph(m * n, edges, _torus_labels(m, n))
-
-
-def _cordalis_edges(m: int, n: int) -> list[tuple[int, int]]:
-    vid = lambda i, j: torus_vertex_id(m, n, i, j)
-    edges = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            edges.append((vid(i, j), vid(i + 1, j)))
-        for j in range(1, n):
-            edges.append((vid(i, j), vid(i, j + 1)))
-        # column wrap shifts one row: (i,n)(i+1,1)
-        edges.append((vid(i, n), vid(i + 1, 1)))
-    return edges
+    nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(m * n)]
+    for r in range(0, m * n, n):  # the column wrap (i,n)(i,1) stays in its row
+        nbrs[r] = (r - n, r + 1, r + n - 1, r + n)
+        nbrs[r + n - 1] = (r - 1, r, r + n - 2, r + 2 * n - 1)
+    return _torus_graph(m, n, nbrs)
 
 
 def torus_cordalis(m: int, n: int) -> Graph:
     """Torus grid whose column wraparound shifts one row.
 
     The edge (i,n)(i,1) of the mesh is replaced by (i,n)(i+1,1), so the column
-    direction forms a single cycle through all mn vertices.
+    direction forms a single cycle through all mn vertices. With row-major ids
+    this is the circulant C_mn(1, n): k is adjacent to k±1 and k±n mod mn.
     """
     if m < 3 or n < 2:
         raise BadParam("torus cordalis needs m >= 3 and n >= 2")
-    return build_graph(m * n, _cordalis_edges(m, n), _torus_labels(m, n))
+    return _torus_graph(m, n, [(k - n, k - 1, k + 1, k + n) for k in range(m * n)])
 
 
 def torus_serpentinus(m: int, n: int) -> Graph:
     """Torus cordalis with the row wraparound additionally shifted one column.
 
     The edge (1,j)(m,j) is replaced by (1,j)(m,j+1), second coordinate mod n.
+    At n = 2 the replacement (1,1)(m,2) is the cordalis edge (m,2)(1,1).
     """
     if m < 3 or n < 2:
         raise BadParam("torus serpentinus needs m >= 3 and n >= 2")
-    vid = lambda i, j: torus_vertex_id(m, n, i, j)
-    removed = {tuple(sorted((vid(1, j), vid(m, j)))) for j in range(1, n + 1)}
-    edges = {
-        tuple(sorted(e)) for e in _cordalis_edges(m, n)
-    } - removed
-    for j in range(1, n + 1):
-        e = tuple(sorted((vid(1, j), vid(m, j + 1))))
-        if e in edges:
-            raise NonSimpleResult(
-                f"torus serpentinus ({m},{n}): replacement edge {e} already present"
-            )
-        edges.add(e)
-    return build_graph(m * n, sorted(edges), _torus_labels(m, n))
+    if n == 2:
+        raise NonSimpleResult(
+            f"torus serpentinus ({m},{n}): replacement edge {(0, m * n - 1)} already present"
+        )
+    N = m * n
+    nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(N)]
+    for j in range(n):
+        nbrs[j] = (N - n + (j + 1) % n, j - 1, j + 1, j + n)
+        nbrs[N - n + j] = (N - 2 * n + j, N - n + j - 1, N - n + j + 1, (j - 1) % n)
+    return _torus_graph(m, n, nbrs)

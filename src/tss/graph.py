@@ -89,8 +89,20 @@ def build_graph(
     return Graph(vertex_count, tuple(sorted(canon)), label_map)
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
+def _graph_from_neighbours(nbrs: list[tuple[int, ...]], labels: dict[int, str]) -> Graph:
+    """Graph whose vertex v has the neighbour tuple nbrs[v].
+
+    Trusts its caller and checks nothing: every tuple must be sorted, free of
+    repeats, loops and out-of-range ids, the relation must be symmetric, and
+    `labels` must be a bijection. The canonical `edges` are read off the
+    tuples (each pair from its lower end), and the tuples themselves become
+    the `adjacency` cache.
+    """
+    adjacency = tuple(nbrs)
+    edges = tuple([(u, v) for u, a in enumerate(adjacency) for v in a if u < v])
+    g = Graph(len(adjacency), edges, labels)
+    g.__dict__["adjacency"] = adjacency
+    return g
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -168,7 +180,8 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         labels = None
         if doc.get("labels") is not None:
             labels = {
-                int(k): v if type(v) is str else _wrong_type("label", v, "a string")
+                i if str(i := int(k)) == k else _wrong_type("label key", k, "a canonical integer"):
+                v if type(v) is str else _wrong_type("label", v, "a string")
                 for k, v in doc["labels"].items()
             }
         thresholds = None

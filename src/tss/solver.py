@@ -84,7 +84,7 @@ def _prepare(g: Graph, theta: Thresholds, limits: SolveLimits):
         )
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("solver requires a connected non-empty graph")
-    forced = tuple(v for v in g.vertices() if th[v] > g.degree(v))
+    forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
     return th, forced
 
 

@@ -32,12 +32,12 @@ def constant_threshold(g: Graph, k: int) -> ThresholdAssignment:
 
 def majority_threshold(g: Graph) -> ThresholdAssignment:
     """theta(v) = ceil(d(v)/2)."""
-    return ThresholdAssignment(tuple((g.degree(v) + 1) // 2 for v in g.vertices()))
+    return ThresholdAssignment(tuple((len(a) + 1) // 2 for a in g.adjacency))
 
 
 def strict_majority_threshold(g: Graph) -> ThresholdAssignment:
     """theta(v) = ceil((d(v)+1)/2); 2 on 3-regular graphs, 3 on 4-regular ones."""
-    return ThresholdAssignment(tuple((g.degree(v) + 2) // 2 for v in g.vertices()))
+    return ThresholdAssignment(tuple((len(a) + 2) // 2 for a in g.adjacency))
 
 
 def check_thresholds(g: Graph, theta: ThresholdAssignment | Sequence[int]) -> tuple[int, ...]:

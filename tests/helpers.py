@@ -2,7 +2,10 @@
 
 The naive closure below rescans every vertex each pass and works on plain
 sets; it shares no code with the package's counter/bitmask engines, so it can
-serve as an independent reference for small instances.
+serve as an independent reference for small instances. Likewise the torus
+reference lists each family's edges from its coordinate definition and builds
+the graph through `build_graph`, independently of the closed-form neighbour
+tuples in `tss.families`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from tss.errors import NonSimpleResult
 from tss.graph import Graph, build_graph
 
 
@@ -38,6 +42,30 @@ def naive_min_seed(g: Graph, theta, must_contain=frozenset()) -> int:
             if len(naive_closure(g, theta, combo)) == n:
                 return k
     raise AssertionError("the full vertex set always influences")
+
+
+def reference_torus(variant: str, m: int, n: int) -> Graph:
+    """mesh, cordalis or serpentinus from its coordinate edge list.
+
+    Coordinates are 0-based here, with id i*n + j for (i, j). Raises
+    NonSimpleResult if the list names one pair twice.
+    """
+    vid = lambda i, j: (i % m) * n + j % n
+    edges = []
+    for i in range(m):
+        for j in range(n):
+            if variant == "mesh" or j < n - 1:
+                edges.append((vid(i, j), vid(i, j + 1)))
+            else:  # the column wrap shifts one row
+                edges.append((vid(i, j), vid(i + 1, 0)))
+            if variant == "serpentinus" and i == m - 1:  # the row wrap shifts one column
+                edges.append((vid(i, j + 1), vid(0, j)))
+            else:
+                edges.append((vid(i, j), vid(i + 1, j)))
+    if len({frozenset(e) for e in edges}) < len(edges):
+        raise NonSimpleResult(f"{variant} ({m},{n}) names an edge twice")
+    labels = {vid(i, j): f"({i + 1},{j + 1})" for i in range(m) for j in range(n)}
+    return build_graph(m * n, edges, labels)
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int, min_vertices: int = 2) -> Graph:

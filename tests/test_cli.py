@@ -1,3 +1,4 @@
+import io
 import json
 
 from tss import graph_from_json
@@ -145,6 +146,9 @@ def test_bounds_gpg_uses_construction_upper(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc == {"lower": 6, "upper": 6, "lower_source": "lemma3", "upper_source": "construction"}
+    code, out, _ = run(capsys, "bounds", "--family", "cp", "--n", "7", "--k", "2")
+    assert code == 0
+    assert out == '{"lower": 4, "upper": 4, "lower_source": "lemma3", "upper_source": "construction"}\n'
 
 
 def test_exact_small_torus(capsys):
@@ -205,6 +209,17 @@ def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):
     gpath.write_text(out)
     code, out, _ = run(capsys, "export-dot", "--graph", str(gpath))
     assert code == 0 and "0 -- 1;" in out
+
+
+def test_label_keys_must_be_canonical_exit_2(capsys, monkeypatch):
+    args = ("verify", "--graph", "-", "--k", "1", "--seed", "0")
+    doc = '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {%s}}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc % '"1": "a", "0": "b"'))
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc % '" 1": "a", "+0": "b"'))
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert "canonical integer" in err
 
 
 def test_io_error_exit_2(capsys):

@@ -17,7 +17,7 @@ from tss import (
     torus_serpentinus,
     torus_vertex_id,
 )
-from helpers import two_colorable
+from helpers import reference_torus, two_colorable
 
 
 def test_path_examples():
@@ -166,3 +166,41 @@ def test_family_labels_are_bijections():
     for g in (path(4), cycle(5), generalized_petersen(7, 2), torus_cordalis(5, 4)):
         assert len(g.labels) == g.vertex_count
         assert len(set(g.labels.values())) == g.vertex_count
+
+
+@pytest.mark.parametrize(
+    "variant,build,n_min",
+    [
+        ("cordalis", torus_cordalis, 2),
+        ("mesh", toroidal_mesh, 3),
+        ("serpentinus", torus_serpentinus, 2),
+    ],
+)
+def test_torus_families_match_coordinate_reference(variant, build, n_min):
+    non_simple = set()
+    for m in range(3, 25):
+        for n in range(n_min, 25):
+            try:
+                want = reference_torus(variant, m, n)
+            except NonSimpleResult:
+                with pytest.raises(NonSimpleResult):
+                    build(m, n)
+                non_simple.add((m, n))
+                continue
+            g = build(m, n)
+            assert g.vertex_count == want.vertex_count
+            assert g.edges == want.edges
+            assert g.labels == want.labels
+            assert g.adjacency == want.adjacency
+            assert all(list(a) == sorted(a) for a in g.adjacency)
+    # the serpentinus is not simple exactly at n = 2; the others always are
+    assert non_simple == ({(m, 2) for m in range(3, 25)} if variant == "serpentinus" else set())
+
+
+def test_cordalis_is_the_circulant_c_mn_1_n():
+    for m in range(3, 25):
+        for n in range(2, 25):
+            size = m * n
+            adjacency = torus_cordalis(m, n).adjacency
+            for k in range(size):
+                assert set(adjacency[k]) == {(k + d) % size for d in (1, -1, n, -n)}

@@ -9,7 +9,6 @@ from tss import (
     VertexOutOfRange,
     build_graph,
     cycle,
-    degree,
     generalized_petersen,
     graph_from_json,
     graph_to_dot,
@@ -25,7 +24,7 @@ def test_triangle():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.vertex_count == 3
     assert len(g.edges) == 3
-    assert all(degree(g, v) == 2 for v in g.vertices())
+    assert all(g.degree(v) == 2 for v in g.vertices())
 
 
 def test_self_loop_rejected():
@@ -38,7 +37,7 @@ def test_vertex_out_of_range():
         build_graph(2, [(0, 2)])
     g = build_graph(2, [(0, 1)])
     with pytest.raises(VertexOutOfRange):
-        degree(g, 5)
+        g.degree(5)
 
 
 def test_negative_vertex_count():
@@ -65,19 +64,19 @@ def test_petersen_is_cubic():
     g = generalized_petersen(5, 2)
     assert g.vertex_count == 10
     assert len(g.edges) == 15
-    assert all(degree(g, v) == 3 for v in g.vertices())
+    assert all(g.degree(v) == 3 for v in g.vertices())
 
 
 def test_cordalis_4x3_is_quartic():
     g = torus_cordalis(4, 3)
-    assert all(degree(g, v) == 4 for v in g.vertices())
+    assert all(g.degree(v) == 4 for v in g.vertices())
 
 
 def test_handshake_on_random_graphs():
     rng = random.Random(11)
     for _ in range(50):
         g = random_connected_graph(rng, 15)
-        assert sum(degree(g, v) for v in g.vertices()) == 2 * len(g.edges)
+        assert sum(g.degree(v) for v in g.vertices()) == 2 * len(g.edges)
 
 
 def test_induced_subgraph_edge():
@@ -143,6 +142,11 @@ def test_json_rejects_garbage():
         '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1, 1]]}',
         '{"format": "tss-graph-v1", "edges": [[0, 1]]}',
         '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": 5, "1": [1]}}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {" 1": "a", "+0": "b"}}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": "a", "01": "b"}}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"-0": "a", "1": "b"}}',
+        '{"format": "tss-graph-v1", "n": 11, "edges": [[0, 1]], "labels": {"1_0": "a"}}',
+        '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": "a", "x": "b"}}',
     ]:
         with pytest.raises(BadParam):
             graph_from_json(doc)
