@@ -56,7 +56,6 @@ from .graph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    induced_subgraph,
     is_connected,
 )
 from .solver import OptimalityCheck, SolveLimits, SolveResult, exact_min_seed, verify_optimality

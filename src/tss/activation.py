@@ -3,6 +3,11 @@
 A vertex v activates once at least theta(v) of its neighbors are active;
 active vertices never deactivate, so the final active set is the least fixed
 point containing the seed and is independent of update order.
+
+The parallel rounds, the sequential rule and the check of a claimed order
+share one engine: it counts down each vertex's need, theta(v) minus its
+active neighbours, and a vertex fires when its need first reaches 0, so no
+round is rescanned or sorted. The exact solver keeps its bitmask cascade.
 """
 
 from __future__ import annotations
@@ -55,34 +60,44 @@ def _check_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]):
-    """Frontier engine with incremental active-neighbor counters."""
+def _start(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> tuple[list[int], list[int]]:
+    """Each vertex's need once `seed` is active, and the first frontier.
+
+    A vertex fires when a decrement takes its need to exactly 0, so at most
+    once. Seed vertices are set to 0 beforehand and never fire; vertices of
+    threshold 0 never reach 0 by a decrement, so they join the frontier here.
+    """
     adj = g.adjacency
-    n = g.vertex_count
-    active = bytearray(n)
-    counts = [0] * n
+    need = list(theta)
+    first = []
+    if 0 in theta:
+        first = [v for v in range(g.vertex_count) if not theta[v] and v not in seed]
     for v in seed:
-        active[v] = 1
+        need[v] = 0
+    for v in seed:
+        for w in adj[v]:
+            need[w] -= 1
+            if not need[w]:
+                first.append(w)
+    return need, first
+
+
+def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]):
+    """Parallel process as (rounds, final); round t holds the vertices that
+    fire once every vertex of round t-1 is active (round 1: once the seed is)."""
+    adj = g.adjacency
+    need, current = _start(g, theta, seed)
     rounds: list[frozenset[int]] = []
-    # thresholds of 0 fire in the first round with no active neighbors
-    current = sorted(seed)
-    zero = [v for v in range(n) if theta[v] == 0 and not active[v]]
-    while current or zero:
-        touched = set(zero)
+    while current:
+        rounds.append(frozenset(current))
+        nxt = []
         for v in current:
             for w in adj[v]:
-                counts[w] += 1
-                if not active[w]:
-                    touched.add(w)
-        nxt = [w for w in sorted(touched) if not active[w] and counts[w] >= theta[w]]
-        zero = []
-        for w in nxt:
-            active[w] = 1
-        if nxt:
-            rounds.append(frozenset(nxt))
+                need[w] -= 1
+                if not need[w]:
+                    nxt.append(w)
         current = nxt
-    final = frozenset(v for v in range(n) if active[v])
-    return rounds, final
+    return rounds, seed.union(*rounds)
 
 
 def closure(g: Graph, theta: Thresholds, seed: Iterable[int]) -> frozenset[int]:
@@ -129,28 +144,16 @@ def sequential_closure(
     else:
         raise BadParam(f"unknown order policy {order_policy!r}")
     adj = g.adjacency
-    n = g.vertex_count
-    active = bytearray(n)
-    counts = [0] * n
-    for v in s:
-        active[v] = 1
-        for w in adj[v]:
-            counts[w] += 1
-    eligible = {
-        v for v in range(n) if not active[v] and counts[v] >= th[v]
-    }
+    need, first = _start(g, th, s)
+    eligible = set(first)
     result = set(s)
     while eligible:
-        if rng is None:
-            v = min(eligible)
-        else:
-            v = rng.choice(sorted(eligible))
+        v = min(eligible) if rng is None else rng.choice(sorted(eligible))
         eligible.discard(v)
-        active[v] = 1
         result.add(v)
         for w in adj[v]:
-            counts[w] += 1
-            if not active[w] and counts[w] >= th[w]:
+            need[w] -= 1
+            if not need[w]:
                 eligible.add(w)
     return frozenset(result)
 
@@ -179,19 +182,19 @@ def validate_convinced_sequence(
             raise DuplicateVertex(f"sequence lists vertex {v} twice")
         seen.add(v)
     adj = g.adjacency
-    active = set(s)
+    need, _ = _start(g, th, s)
     for pos, v in enumerate(order, start=1):
-        have = sum(1 for w in adj[v] if w in active)
-        if have < th[v]:
+        if need[v] > 0:
             return SequenceValidation(
                 ok=False,
                 full_influence=False,
                 failing_position=pos,
-                active_neighbors=have,
+                active_neighbors=th[v] - need[v],
                 required=th[v],
             )
-        active.add(v)
-    return SequenceValidation(ok=True, full_influence=len(active) == g.vertex_count)
+        for w in adj[v]:
+            need[w] -= 1
+    return SequenceValidation(ok=True, full_influence=len(s) + len(order) == g.vertex_count)
 
 
 def extract_convinced_sequence(g: Graph, theta: Thresholds, seed: Iterable[int]) -> list[int]:

@@ -437,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     try:
         return args.func(args)
     except TssError as exc:

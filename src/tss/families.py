@@ -7,11 +7,13 @@ The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and are built
 from closed-form neighbour tuples instead of through `build_graph`: the torus
 cordalis is the circulant C_mn(1, n), and the mesh and the serpentinus differ
 from it only at the row ends and in the first and last rows respectively.
+Their label map is a `TorusLabels`, which formats "(i,j)" from the id on
+lookup; the other families keep a plain dict.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import BadParam, BadPermutation, NonSimpleResult
 from .graph import Graph, _graph_from_neighbours, build_graph
@@ -92,8 +94,29 @@ def torus_vertex_id(m: int, n: int, i: int, j: int) -> int:
     return ((i - 1) % m) * n + ((j - 1) % n)
 
 
-def _torus_labels(m: int, n: int) -> dict[int, str]:
-    return dict(enumerate(f"({i},{j})" for i in range(1, m + 1) for j in range(1, n + 1)))
+class TorusLabels(Mapping[int, str]):
+    """Read-only label map of an m x n torus: id v is "(i,j)" with
+    i = v // n + 1 and j = v % n + 1. Each label is formatted on lookup, so
+    building a torus formats none of its mn labels; ids outside 0..mn-1 raise
+    KeyError.
+    """
+
+    __slots__ = ("_n", "_size")
+
+    def __init__(self, m: int, n: int):
+        self._n = n
+        self._size = m * n
+
+    def __getitem__(self, v: int) -> str:
+        if isinstance(v, int) and 0 <= v < self._size:
+            return f"({v // self._n + 1},{v % self._n + 1})"
+        raise KeyError(v)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._size))
+
+    def __len__(self) -> int:
+        return self._size
 
 
 def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
@@ -106,7 +129,7 @@ def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
     N = m * n
     for k in (*range(n), *range(N - n, N)):
         nbrs[k] = tuple(sorted(v % N for v in nbrs[k]))
-    return _graph_from_neighbours(nbrs, _torus_labels(m, n))
+    return _graph_from_neighbours(nbrs, TorusLabels(m, n))
 
 
 def toroidal_mesh(m: int, n: int) -> Graph:

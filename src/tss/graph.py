@@ -14,13 +14,17 @@ from typing import Iterable, Mapping, NoReturn
 from .errors import BadParam, DuplicateLabel, SelfLoop, VertexOutOfRange
 
 GRAPH_FORMAT = "tss-graph-v1"
+# Largest vertex count a graph document may declare. Every engine allocates
+# per-vertex arrays, so a larger n is refused before anything is built. The
+# documents in the tests and the benchmark hold at most about 6,000 vertices.
+MAX_DOCUMENT_VERTICES = 10_000_000
 
 
 @dataclass(frozen=True)
 class Graph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]  # canonical (min,max) pairs, sorted, deduplicated
-    labels: dict[int, str] | None = field(default=None, compare=False)
+    labels: Mapping[int, str] | None = field(default=None, compare=False)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -89,7 +93,7 @@ def build_graph(
     return Graph(vertex_count, tuple(sorted(canon)), label_map)
 
 
-def _graph_from_neighbours(nbrs: list[tuple[int, ...]], labels: dict[int, str]) -> Graph:
+def _graph_from_neighbours(nbrs: list[tuple[int, ...]], labels: Mapping[int, str]) -> Graph:
     """Graph whose vertex v has the neighbour tuple nbrs[v].
 
     Trusts its caller and checks nothing: every tuple must be sorted, free of
@@ -103,22 +107,6 @@ def _graph_from_neighbours(nbrs: list[tuple[int, ...]], labels: dict[int, str]) 
     g = Graph(len(adjacency), edges, labels)
     g.__dict__["adjacency"] = adjacency
     return g
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on `keep` plus the old-id -> new-id map."""
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.vertex_count:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{g.vertex_count - 1}")
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
-    ]
-    labels = None
-    if g.labels is not None:
-        labels = {remap[old]: g.labels[old] for old in kept}
-    return build_graph(len(kept), edges, labels), remap
 
 
 def is_connected(g: Graph) -> bool:
@@ -173,6 +161,8 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         n = doc["n"]
         if type(n) is not int:
             _wrong_type("n", n)
+        if n > MAX_DOCUMENT_VERTICES:
+            raise BadParam(f"n = {n} is above the limit of {MAX_DOCUMENT_VERTICES} vertices")
         edges = [
             (u, v) if type(u) is int and type(v) is int else _wrong_type("edge endpoint", [u, v])
             for u, v in doc["edges"]

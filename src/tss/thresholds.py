@@ -14,7 +14,7 @@ class ThresholdAssignment:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(t < 0 for t in self.values):
+        if min(self.values, default=0) < 0:
             raise BadParam("thresholds must be non-negative")
 
     def __len__(self) -> int:
@@ -41,12 +41,17 @@ def strict_majority_threshold(g: Graph) -> ThresholdAssignment:
 
 
 def check_thresholds(g: Graph, theta: ThresholdAssignment | Sequence[int]) -> tuple[int, ...]:
-    """Validate that a threshold assignment fits `g`; returns the raw tuple."""
-    values = theta.values if isinstance(theta, ThresholdAssignment) else tuple(theta)
+    """Validate that a threshold assignment fits `g`; returns the raw tuple.
+
+    A ThresholdAssignment rejected negative values when it was built, so only
+    a raw sequence is scanned for them here.
+    """
+    trusted = isinstance(theta, ThresholdAssignment)
+    values = theta.values if trusted else tuple(theta)
     if len(values) != g.vertex_count:
         raise SizeMismatch(
             f"{len(values)} thresholds for a graph on {g.vertex_count} vertices"
         )
-    if any(t < 0 for t in values):
+    if not trusted and min(values, default=0) < 0:
         raise BadParam("thresholds must be non-negative")
     return values

@@ -32,6 +32,23 @@ def naive_closure(g: Graph, theta, seed) -> set[int]:
     return active
 
 
+def naive_rounds(g: Graph, theta, seed) -> tuple[list[set[int]], set[int]]:
+    """Parallel process round by round, recounting every vertex from scratch."""
+    values = theta.values if hasattr(theta, "values") else tuple(theta)
+    active = set(seed)
+    rounds = []
+    while True:
+        new = {
+            v
+            for v in range(g.vertex_count)
+            if v not in active and sum(1 for w in g.adjacency[v] if w in active) >= values[v]
+        }
+        if not new:
+            return rounds, active
+        rounds.append(new)
+        active |= new
+
+
 def naive_min_seed(g: Graph, theta, must_contain=frozenset()) -> int:
     """Exhaustive minimum influencing-seed size, optionally forcing vertices."""
     n = g.vertex_count

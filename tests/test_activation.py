@@ -18,7 +18,7 @@ from tss import (
     torus_cordalis,
     validate_convinced_sequence,
 )
-from helpers import naive_closure, random_connected_graph, random_thresholds
+from helpers import naive_closure, naive_rounds, random_connected_graph, random_thresholds
 
 
 def test_closure_of_full_seed_is_identity():
@@ -184,6 +184,44 @@ def test_extracted_sequence_validates_iff_influencing():
         check = validate_convinced_sequence(g, theta, seed, alpha)
         assert check.ok
         assert check.full_influence == is_influencing(g, theta, seed)
+
+
+def test_engine_rounds_match_from_scratch_recount():
+    rng = random.Random(31)
+    zero_seeded = zero_fired = never_fires = failures = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, 16)
+        theta = random_thresholds(rng, g)
+        n = g.vertex_count
+        zeros = [v for v in range(n) if theta[v] == 0]
+        seed = set(rng.sample(range(n), rng.randint(0, n // 2)))
+        if zeros and rng.random() < 0.5:
+            seed.add(rng.choice(zeros))
+        want_rounds, want_final = naive_rounds(g, theta, seed)
+        trace = parallel_trace(g, theta, seed)
+        assert [set(r) for r in trace.rounds] == want_rounds
+        assert trace.final == want_final == closure(g, theta, seed)
+        assert sequential_closure(g, theta, seed) == want_final
+        order = [v for r in want_rounds for v in sorted(r)]
+        assert extract_convinced_sequence(g, theta, seed) == order
+        # a shuffled order fails first where a from-scratch count says it does
+        rng.shuffle(order)
+        check = validate_convinced_sequence(g, theta, seed, order)
+        active = set(seed)
+        for pos, v in enumerate(order, start=1):
+            have = sum(1 for w in g.adjacency[v] if w in active)
+            if have < theta[v]:
+                assert (check.ok, check.failing_position) == (False, pos)
+                assert (check.active_neighbors, check.required) == (have, theta[v])
+                break
+            active.add(v)
+        else:
+            assert check.ok and check.full_influence == (len(active) == n)
+        failures += not check.ok
+        zero_seeded += any(theta[v] == 0 for v in seed)
+        zero_fired += bool(want_rounds) and any(theta[v] == 0 for v in want_rounds[0])
+        never_fires += any(theta[v] > g.degree(v) for v in range(n))
+    assert zero_seeded and zero_fired and never_fires and failures
 
 
 def test_trace_json_shape():

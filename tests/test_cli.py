@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import graph_from_json
-from tss.cli import main
+from tss.cli import FAMILIES, main
 
 
 def run(capsys, *argv):
@@ -270,3 +275,161 @@ def test_negative_solver_limits_exit_2(capsys):
     code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
                        "--k", "3", "--time-budget", "0")
     assert code == 0 and json.loads(out)["optimum"] == 4
+
+
+def test_vertex_cap_exit_2(capsys, monkeypatch):
+    doc = '{"format": "tss-graph-v1", "n": %d, "edges": []}' % 10**12
+    for argv in (("simulate", "--graph", "-", "--k", "1", "--seed", "0"),
+                 ("verify", "--graph", "-", "--k", "0", "--seed", ""),
+                 ("export-dot", "--graph", "-")):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "above the limit" in err
+
+
+# --- property test: every command line and document ends in exit 0, 1 or 2 ---
+
+def _mostly(valid, other):
+    """`valid` nine draws in ten, else `other`, so most examples get past argparse."""
+    return st.sampled_from([valid] * 9 + [other]).flatmap(lambda strategy: strategy)
+
+
+_small = _mostly(st.integers(2, 4), st.integers(-2, 8)).map(str)
+_ids = st.lists(_mostly(st.integers(0, 8), st.integers(-1, 30)), max_size=8).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_junk = st.text(alphabet="abx019,:.- ", max_size=4)
+# A fixed alphabet with JSON punctuation and a non-ASCII letter; the full
+# Unicode range would add nothing here and costs a cache build on first use.
+_chars = st.text(alphabet='ab"{}[]:,.-+019 é\\', max_size=12)
+# `--dot-dir` is left out because it writes files; paths name files that do not exist.
+_VALUE_FLAGS = {
+    "--family": _mostly(st.sampled_from(FAMILIES), st.just("bogus")),
+    "--m": _small, "--n": _small, "--s": _mostly(st.integers(1, 2).map(str), _small),
+    "--pi": _ids,
+    "--graph": _mostly(st.just("-"), st.just("no-such-graph.json")),
+    "--threshold": st.sampled_from(["constant:0", "constant:2", "constant:3", "constant:-1",
+                                    "constant:x", "majority", "strict-majority", "bogus"]),
+    "--k": _mostly(st.integers(0, 3), st.integers(-2, 6)).map(str),
+    "--seed": st.one_of(st.just("all"), _ids),
+    "--seed-file": st.just("no-such-seed.json"),
+    "--sequence": _ids,
+    "--rng-seed": _small,
+    "--max-vertices": st.integers(-1, 16).map(str),
+    "--time-budget": st.sampled_from(["0", "5", "-1", "nan", "x"]),
+    "--max-size": _small,
+    "--claimed": _small,
+    "--m-min": _small, "--m-max": _small, "--n-min": _small, "--n-max": _small,
+    "--max-cells": st.integers(-1, 40).map(str),
+    "--format": _mostly(st.sampled_from(["csv", "json"]), st.just("xml")),
+}
+_SWITCHES = ("--dot", "--include-sequence", "--bogus", "-h")
+_FAMILY = ("--family", "--m", "--n", "--s", "--pi")
+_SOURCE = ("--graph", *_FAMILY, "--threshold", "--k")
+_LIMITS = ("--max-vertices", "--time-budget", "--max-size")
+_COMMAND_FLAGS = {
+    "gen": (*_FAMILY, "--threshold", "--k", "--dot"),
+    "seed": (*_FAMILY, "--include-sequence"),
+    "simulate": (*_SOURCE, "--seed", "--seed-file", "--rng-seed"),
+    "verify": (*_SOURCE, "--seed", "--seed-file", "--sequence"),
+    "bounds": _SOURCE,
+    "exact": (*_SOURCE, *_LIMITS),
+    "check-optimal": (*_SOURCE, "--claimed", *_LIMITS),
+    "table": ("--m-min", "--m-max", "--n-min", "--n-max", "--max-cells", "--format"),
+    "export-dot": ("--graph", *_FAMILY),
+}
+
+
+def _flag_tokens(flag: str):
+    if flag in _SWITCHES:
+        return st.just([flag])
+    return _VALUE_FLAGS[flag].map(lambda value: [flag, value])
+
+
+def _family_part(families=FAMILIES):
+    family = _mostly(st.sampled_from(families), st.just("bogus"))
+    return st.tuples(family, _small, _small, _VALUE_FLAGS["--s"]).map(
+        lambda t: ["--family", t[0], "--m", t[1], "--n", t[2], "--s", t[3]]
+    )
+
+
+_source = st.one_of(_family_part(), _flag_tokens("--graph"))
+_threshold = st.one_of(_flag_tokens("--k"), _flag_tokens("--threshold"))
+# What each command needs to get past its usage checks; each part is dropped
+# one time in ten, and random flags follow.
+_BASE = {
+    "gen": (_family_part(),),
+    "seed": (_family_part(("cordalis", "gpg", "cp")),),
+    "simulate": (_source, _threshold, _flag_tokens("--seed")),
+    "verify": (_source, _threshold, _flag_tokens("--seed")),
+    "bounds": (_source, _threshold),
+    "exact": (_source, _threshold),
+    "check-optimal": (_source, _threshold, _flag_tokens("--claimed")),
+    "table": (_flag_tokens("--m-max"), _flag_tokens("--n-max")),
+    "export-dot": (_source,),
+}
+
+
+def _command_line(command: str):
+    base = st.tuples(*(_mostly(part, st.just([])) for part in _BASE.get(command, ())))
+    own = st.sampled_from(_COMMAND_FLAGS.get(command, _SWITCHES)).flatmap(_flag_tokens)
+    stray = st.one_of(  # a flag of another command, a switch, or a stray token
+        st.sampled_from(sorted(_VALUE_FLAGS) + list(_SWITCHES)).flatmap(_flag_tokens),
+        _junk.map(lambda t: [t]),
+    )
+    extra = st.lists(_mostly(own, stray), max_size=4)
+    return st.tuples(base, extra).map(
+        lambda t: [command, *(tok for part in (*t[0], *t[1]) for tok in part)]
+    )
+
+
+_argv = _mostly(st.sampled_from(sorted(_COMMAND_FLAGS)), st.just("bogus")).flatmap(_command_line)
+
+
+def _graph_document(n: int):
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    return st.fixed_dictionaries(
+        {
+            "format": st.just("tss-graph-v1"),
+            "n": st.just(n),
+            "edges": st.lists(pair, max_size=2 * n).map(lambda es: [e for e in es if e[0] != e[1]]),
+        },
+        optional={"thresholds": st.lists(st.integers(0, 3), min_size=n, max_size=n)},
+    )
+
+
+_json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.just(10**15),
+                         st.floats(allow_nan=False, allow_infinity=False), _chars)
+_malformed_document = st.fixed_dictionaries(
+    {"format": st.sampled_from(["tss-graph-v1", "tss-graph-v2"])},
+    optional={
+        "n": st.one_of(st.integers(-2, 10), _json_scalar),
+        "edges": st.one_of(st.lists(st.lists(st.integers(-2, 10), max_size=3), max_size=16),
+                           _json_scalar),
+        "labels": st.one_of(st.dictionaries(st.text("019-+ ", max_size=2),
+                                            st.one_of(_chars, _json_scalar),
+                                            max_size=10),
+                            st.lists(_chars, max_size=3), _json_scalar),
+        "thresholds": st.one_of(st.lists(st.one_of(st.integers(-1, 5), _json_scalar), max_size=10),
+                                _json_scalar),
+    },
+)
+_well_formed = st.integers(0, 8).flatmap(_graph_document).map(json.dumps)
+_stdin = st.one_of(_well_formed, _well_formed, _malformed_document.map(json.dumps),
+                   _chars)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_argv, stdin_text=_stdin)
+def test_main_exits_0_1_or_2_and_never_raises(argv, stdin_text):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # reported as a failing example, not let through
+        code = f"SystemExit({exc.code})"
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)

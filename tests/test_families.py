@@ -17,6 +17,7 @@ from tss import (
     torus_serpentinus,
     torus_vertex_id,
 )
+from tss.graph import graph_to_dot, graph_to_json
 from helpers import reference_torus, two_colorable
 
 
@@ -168,14 +169,14 @@ def test_family_labels_are_bijections():
         assert len(set(g.labels.values())) == g.vertex_count
 
 
-@pytest.mark.parametrize(
-    "variant,build,n_min",
-    [
-        ("cordalis", torus_cordalis, 2),
-        ("mesh", toroidal_mesh, 3),
-        ("serpentinus", torus_serpentinus, 2),
-    ],
-)
+TORI = [
+    ("cordalis", torus_cordalis, 2),
+    ("mesh", toroidal_mesh, 3),
+    ("serpentinus", torus_serpentinus, 2),
+]
+
+
+@pytest.mark.parametrize("variant,build,n_min", TORI)
 def test_torus_families_match_coordinate_reference(variant, build, n_min):
     non_simple = set()
     for m in range(3, 25):
@@ -204,3 +205,26 @@ def test_cordalis_is_the_circulant_c_mn_1_n():
             adjacency = torus_cordalis(m, n).adjacency
             for k in range(size):
                 assert set(adjacency[k]) == {(k + d) % size for d in (1, -1, n, -n)}
+
+
+@pytest.mark.parametrize("variant,build,n_min", TORI)
+def test_torus_labels_are_computed_on_lookup(variant, build, n_min):
+    for m in range(3, 13):
+        for n in range(n_min, 13):
+            if variant == "serpentinus" and n == 2:
+                continue  # not a simple graph
+            g = build(m, n)
+            want = reference_torus(variant, m, n)  # labels as a plain dict
+            assert type(want.labels) is dict and type(g.labels) is not dict
+            assert g == want
+            assert g.labels == want.labels and dict(g.labels) == want.labels
+            assert list(g.labels) == list(range(m * n)) and len(g.labels) == m * n
+            assert [g.label_of(v) for v in g.vertices()] == [want.labels[v] for v in g.vertices()]
+            for bad in (-1, m * n, m * n + n, "0", None):
+                with pytest.raises(KeyError):
+                    g.labels[bad]
+                assert bad not in g.labels
+            assert g.label_of(m * n) == str(m * n)
+            assert graph_to_json(g) == graph_to_json(want)
+            assert graph_to_json(g, [3] * (m * n)) == graph_to_json(want, [3] * (m * n))
+            assert graph_to_dot(g, [0, m * n - 1]) == graph_to_dot(want, [0, m * n - 1])

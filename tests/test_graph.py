@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,10 +14,10 @@ from tss import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    induced_subgraph,
     is_connected,
     torus_cordalis,
 )
+from tss.graph import MAX_DOCUMENT_VERTICES
 from helpers import random_connected_graph
 
 
@@ -79,34 +80,10 @@ def test_handshake_on_random_graphs():
         assert sum(g.degree(v) for v in g.vertices()) == 2 * len(g.edges)
 
 
-def test_induced_subgraph_edge():
-    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    sub, remap = induced_subgraph(g, {0, 1})
-    assert sub.vertex_count == 2 and sub.edges == ((0, 1),)
-    assert remap == {0: 0, 1: 1}
-
-
-def test_induced_subgraph_identity():
-    g = cycle(5)
-    sub, remap = induced_subgraph(g, g.vertices())
-    assert sub.edges == g.edges
-    assert remap == {v: v for v in g.vertices()}
-
-
 def test_petersen_outer_cycle_induces_c5():
     g = generalized_petersen(5, 2)
-    sub, _ = induced_subgraph(g, range(5))
-    assert sub.edges == cycle(5).edges
-
-
-def test_induced_degrees_never_grow():
-    rng = random.Random(3)
-    for _ in range(30):
-        g = random_connected_graph(rng, 12)
-        keep = sorted(rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count)))
-        sub, remap = induced_subgraph(g, keep)
-        for old in keep:
-            assert sub.degree(remap[old]) <= g.degree(old)
+    outer = tuple((u, v) for u, v in g.edges if v < 5)
+    assert outer == cycle(5).edges
 
 
 def test_is_connected():
@@ -150,6 +127,20 @@ def test_json_rejects_garbage():
     ]:
         with pytest.raises(BadParam):
             graph_from_json(doc)
+
+
+def test_json_vertex_cap_rejects_before_allocating():
+    tracemalloc.start()
+    try:
+        for n in (MAX_DOCUMENT_VERTICES + 1, 10**12, 10**100):
+            with pytest.raises(BadParam, match="above the limit"):
+                graph_from_json('{"format": "tss-graph-v1", "n": %d, "edges": []}' % n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    g, _ = graph_from_json('{"format": "tss-graph-v1", "n": %d, "edges": []}' % 1000)
+    assert g.vertex_count == 1000
 
 
 @pytest.mark.parametrize("bad", ["true", "1.7", '"3"', "3.0"])

@@ -3,6 +3,7 @@ import pytest
 from tss import (
     BadParam,
     SizeMismatch,
+    ThresholdAssignment,
     closure,
     constant_threshold,
     cycle,
@@ -12,6 +13,7 @@ from tss import (
     strict_majority_threshold,
     torus_cordalis,
 )
+from tss.thresholds import check_thresholds
 
 
 def test_constant():
@@ -54,3 +56,19 @@ def test_pairing_enforced_by_length():
     theta = constant_threshold(cycle(5), 2)
     with pytest.raises(SizeMismatch):
         closure(g, theta, [0])
+
+
+def test_negative_thresholds_rejected_raw_or_wrapped():
+    g = cycle(4)
+    with pytest.raises(BadParam):
+        closure(g, [-1, 2, 2, 2], [0])
+    with pytest.raises(BadParam):
+        closure(g, (2, 2, 2, -3), [0])
+    with pytest.raises(BadParam):
+        ThresholdAssignment((-1,))
+    with pytest.raises(BadParam):
+        ThresholdAssignment((2, 2, -1, 2))
+    # the length is checked before the sign, for raw sequences too
+    with pytest.raises(SizeMismatch):
+        closure(g, [-1, 2], [0])
+    assert check_thresholds(g, [0, 1, 2, 3]) == (0, 1, 2, 3)
