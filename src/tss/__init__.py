@@ -26,7 +26,6 @@ from .constructions import (
 from .errors import (
     BadParam,
     BadPermutation,
-    BudgetExceeded,
     ConstructionFailedVerification,
     DuplicateLabel,
     DuplicateVertex,
@@ -60,7 +59,6 @@ from .graph import (
 )
 from .solver import OptimalityCheck, SolveLimits, SolveResult, exact_min_seed, verify_optimality
 from .thresholds import (
-    ThresholdAssignment,
     constant_threshold,
     majority_threshold,
     strict_majority_threshold,

@@ -12,16 +12,13 @@ round is rescanned or sorted. The exact solver keeps its bitmask cascade.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadParam, DuplicateVertex, SeedOverlap, VertexOutOfRange
+from .errors import DuplicateVertex, SeedOverlap, VertexOutOfRange
 from .graph import Graph
-from .thresholds import ThresholdAssignment, check_thresholds
-
-Thresholds = ThresholdAssignment | Sequence[int]
+from .thresholds import check_thresholds
 
 
 @dataclass(frozen=True)
@@ -30,14 +27,12 @@ class ActivationTrace:
     rounds: tuple[frozenset[int], ...]  # round t = vertices newly active at step t
     final: frozenset[int]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": sorted(self.seed),
-                "rounds": [sorted(r) for r in self.rounds],
-                "final_size": len(self.final),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "seed": sorted(self.seed),
+            "rounds": [sorted(r) for r in self.rounds],
+            "final_size": len(self.final),
+        }
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]):
     return rounds, seed.union(*rounds)
 
 
-def closure(g: Graph, theta: Thresholds, seed: Iterable[int]) -> frozenset[int]:
+def closure(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> frozenset[int]:
     """Final active set of the parallel process started from `seed`."""
     th = check_thresholds(g, theta)
     s = _check_seed(g, seed)
@@ -108,7 +103,7 @@ def closure(g: Graph, theta: Thresholds, seed: Iterable[int]) -> frozenset[int]:
     return final
 
 
-def parallel_trace(g: Graph, theta: Thresholds, seed: Iterable[int]) -> ActivationTrace:
+def parallel_trace(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> ActivationTrace:
     """Round-by-round record of the parallel process."""
     th = check_thresholds(g, theta)
     s = _check_seed(g, seed)
@@ -116,51 +111,39 @@ def parallel_trace(g: Graph, theta: Thresholds, seed: Iterable[int]) -> Activati
     return ActivationTrace(s, tuple(rounds), final)
 
 
-def is_influencing(g: Graph, theta: Thresholds, seed: Iterable[int]) -> bool:
+def is_influencing(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> bool:
     return len(closure(g, theta, seed)) == g.vertex_count
 
 
 def sequential_closure(
-    g: Graph,
-    theta: Thresholds,
-    seed: Iterable[int],
-    order_policy: str = "lowest-id",
-    rng_seed: int | None = None,
+    g: Graph, theta: Sequence[int], seed: Iterable[int], rng_seed: int
 ) -> frozenset[int]:
     """Run the one-vertex-at-a-time rule to exhaustion.
 
-    The policy only picks which eligible vertex goes next ("lowest-id" or
-    "random" with an explicit rng_seed); the final set always equals the
-    parallel closure.
+    Each step activates an eligible vertex drawn uniformly by
+    random.Random(rng_seed); the final set always equals the parallel closure.
     """
     th = check_thresholds(g, theta)
     s = _check_seed(g, seed)
-    if order_policy == "random":
-        if rng_seed is None:
-            raise BadParam("random order policy needs an explicit rng_seed")
-        rng = random.Random(rng_seed)
-    elif order_policy == "lowest-id":
-        rng = None
-    else:
-        raise BadParam(f"unknown order policy {order_policy!r}")
+    pick = random.Random(rng_seed).randrange
     adj = g.adjacency
-    need, first = _start(g, th, s)
-    eligible = set(first)
-    result = set(s)
+    need, eligible = _start(g, th, s)
+    fired = []
     while eligible:
-        v = min(eligible) if rng is None else rng.choice(sorted(eligible))
-        eligible.discard(v)
-        result.add(v)
+        i = pick(len(eligible))
+        eligible[i], eligible[-1] = eligible[-1], eligible[i]
+        v = eligible.pop()
+        fired.append(v)
         for w in adj[v]:
             need[w] -= 1
             if not need[w]:
-                eligible.add(w)
-    return frozenset(result)
+                eligible.append(w)
+    return s.union(fired)
 
 
 def validate_convinced_sequence(
     g: Graph,
-    theta: Thresholds,
+    theta: Sequence[int],
     seed: Iterable[int],
     order: Sequence[int],
 ) -> SequenceValidation:
@@ -197,7 +180,7 @@ def validate_convinced_sequence(
     return SequenceValidation(ok=True, full_influence=len(s) + len(order) == g.vertex_count)
 
 
-def extract_convinced_sequence(g: Graph, theta: Thresholds, seed: Iterable[int]) -> list[int]:
+def extract_convinced_sequence(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> list[int]:
     """A valid convinced sequence covering everything the seed influences.
 
     Flattens the parallel trace round by round; vertices inside one round only

@@ -15,31 +15,17 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bounds as bounds_mod
+from . import constructions, families
 from .activation import (
     is_influencing,
     parallel_trace,
     sequential_closure,
     validate_convinced_sequence,
 )
-from .constructions import (
-    formula_value,
-    seed_cycle_permutation,
-    seed_generalized_petersen,
-    seed_torus_cordalis,
-)
+from .constructions import formula_value, seed_torus_cordalis
 from .errors import BadParam, TssError
-from .families import (
-    cycle,
-    cycle_permutation,
-    generalized_petersen,
-    identity_permutation,
-    path,
-    permutation_from_one_based,
-    toroidal_mesh,
-    torus_cordalis,
-    torus_serpentinus,
-)
-from .graph import Graph, graph_from_json, graph_to_dot, graph_to_json, int_list
+from .families import identity_permutation, permutation_from_one_based
+from .graph import Graph, check_vertex_count, graph_from_json, graph_to_dot, graph_to_json, int_list
 from .solver import SolveLimits, exact_min_seed, verify_optimality
 from .thresholds import (
     constant_threshold,
@@ -47,7 +33,19 @@ from .thresholds import (
     strict_majority_threshold,
 )
 
-FAMILIES = ("path", "cycle", "cp", "gpg", "mesh", "cordalis", "serpentinus")
+# --family: (size flags in the order they are read, graph constructor in
+# `families`, seed builder in `constructions` or None). Both are looked up by
+# name at call time, so a wrapper later installed on either module is used.
+FAMILY_TABLE = {
+    "path": (("n",), "path", None),
+    "cycle": (("n",), "cycle", None),
+    "cp": (("n", "pi"), "cycle_permutation", "seed_cycle_permutation"),
+    "gpg": (("m", "s"), "generalized_petersen", "seed_generalized_petersen"),
+    "mesh": (("m", "n"), "toroidal_mesh", None),
+    "cordalis": (("m", "n"), "torus_cordalis", "seed_torus_cordalis"),
+    "serpentinus": (("m", "n"), "torus_serpentinus", None),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def _fail(msg: str) -> int:
@@ -62,39 +60,33 @@ def _parse_ids(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_pi(text: str, n: int) -> tuple[int, ...]:
+def _permutation(text: str | None, n: int) -> tuple[int, ...]:
+    """--pi (1-based images) as a 0-based permutation of n, or the identity
+    when it is absent; the vertex cap is checked before that is built."""
+    if not text:
+        check_vertex_count(2 * n, "2n")
+        return identity_permutation(n)
     images = [int(x) for x in text.replace(",", " ").split()]
     if len(images) != n:
         raise TssError(f"permutation needs {n} entries, got {len(images)}")
     return permutation_from_one_based(images)
 
 
+def _family_sizes(args) -> list:
+    """The values of the --family's size flags, in FAMILY_TABLE order."""
+    sizes = []
+    for flag in FAMILY_TABLE[args.family][0]:
+        value = getattr(args, flag)
+        if flag == "pi":
+            value = _permutation(value, sizes[0])
+        elif value is None:
+            raise TssError(f"--family {args.family} needs --{flag}")
+        sizes.append(value)
+    return sizes
+
+
 def _build_family(args) -> Graph:
-    fam = args.family
-    if fam == "path":
-        return path(_req(args, "n"))
-    if fam == "cycle":
-        return cycle(_req(args, "n"))
-    if fam == "cp":
-        n = _req(args, "n")
-        pi = _parse_pi(args.pi, n) if args.pi else identity_permutation(n)
-        return cycle_permutation(n, pi)
-    if fam == "gpg":
-        return generalized_petersen(_req(args, "m"), _req(args, "s"))
-    if fam == "mesh":
-        return toroidal_mesh(_req(args, "m"), _req(args, "n"))
-    if fam == "cordalis":
-        return torus_cordalis(_req(args, "m"), _req(args, "n"))
-    if fam == "serpentinus":
-        return torus_serpentinus(_req(args, "m"), _req(args, "n"))
-    raise TssError(f"unknown family {fam!r}")
-
-
-def _req(args, name: str) -> int:
-    val = getattr(args, name, None)
-    if val is None:
-        raise TssError(f"--family {args.family} needs --{name}")
-    return val
+    return getattr(families, FAMILY_TABLE[args.family][1])(*_family_sizes(args))
 
 
 def _load_graph(args) -> tuple[Graph, list[int] | None]:
@@ -168,28 +160,18 @@ def cmd_gen(args) -> int:
         return 0
     thresholds = None
     if args.threshold or args.k is not None:
-        th = _thresholds(args, g, None)
-        thresholds = list(th.values) if hasattr(th, "values") else list(th)
+        thresholds = _thresholds(args, g, None)
     print(graph_to_json(g, thresholds))
     return 0
 
 
 def cmd_seed(args) -> int:
-    if args.family == "cordalis":
-        report = seed_torus_cordalis(_req(args, "m"), _req(args, "n"))
-    elif args.family == "gpg":
-        report = seed_generalized_petersen(_req(args, "m"), _req(args, "s"))
-    elif args.family == "cp":
-        n = _req(args, "n")
-        pi = _parse_pi(args.pi, n) if args.pi else identity_permutation(n)
-        report = seed_cycle_permutation(n, pi)
-    else:
-        raise TssError("seed supports --family cordalis|gpg|cp")
+    report = getattr(constructions, FAMILY_TABLE[args.family][2])(*_family_sizes(args))
     doc = report.to_dict()
     if args.include_sequence:
         doc["sequence"] = list(report.convinced_sequence)
     print(json.dumps(doc))
-    return 0 if report.verified else 1
+    return 0  # every report has passed the simulation gate
 
 
 def cmd_simulate(args) -> int:
@@ -197,9 +179,9 @@ def cmd_simulate(args) -> int:
     theta = _thresholds(args, g, doc_th)
     seed = _seed_ids(args, g)
     trace = parallel_trace(g, theta, seed)
-    doc = json.loads(trace.to_json())
+    doc = trace.to_dict()
     if args.rng_seed is not None:
-        seq_final = sequential_closure(g, theta, seed, "random", rng_seed=args.rng_seed)
+        seq_final = sequential_closure(g, theta, seed, args.rng_seed)
         doc["sequential_matches"] = seq_final == trace.final
     print(json.dumps(doc))
     if args.dot_dir:
@@ -240,7 +222,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.family in ("cordalis", "mesh", "serpentinus"):
-        m, n = _req(args, "m"), _req(args, "n")
+        m, n = _family_sizes(args)
         report = bounds_mod.torus_bounds(m, n, args.family)
         doc = {
             "lower": report.lower,
@@ -251,15 +233,14 @@ def cmd_bounds(args) -> int:
     else:
         g, doc_th = _load_graph(args)
         theta = _thresholds(args, g, doc_th)
-        values = theta.values if hasattr(theta, "values") else tuple(theta)
-        if len(set(values)) != 1 or values[0] < 1:
+        if len(set(theta)) != 1 or theta[0] < 1:
             raise TssError("the degree-counting lower bound needs a constant threshold k >= 1")
         upper = g.vertex_count
-        if values[0] == 2 and getattr(args, "family", None) in ("gpg", "cp"):
-            # the verified seed construction is the best known upper bound here
-            upper = bounds_mod.cubic_seed_size(_req(args, "m" if args.family == "gpg" else "n"))
+        if theta[0] == 2 and not args.graph and args.family in ("gpg", "cp"):
+            # the verified seed construction on 2m (2n) vertices is the best known upper bound
+            upper = bounds_mod.cubic_seed_size(g.vertex_count // 2)
         doc = {
-            "lower": bounds_mod.lower_bound_lemma(g, values[0]),
+            "lower": bounds_mod.lower_bound_lemma(g, theta[0]),
             "upper": upper,
             "lower_source": "lemma3",
             "upper_source": "construction",
@@ -443,9 +424,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except TssError as exc:
-        return _fail(str(exc))
-    except (OSError, ValueError) as exc:
+    except (TssError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

@@ -28,7 +28,7 @@ from .families import (
     torus_cordalis,
     torus_vertex_id,
 )
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 from .thresholds import constant_threshold
 
 Coord = tuple[int, int]
@@ -469,6 +469,7 @@ def seed_torus_cordalis(m: int, n: int) -> SeedReport:
     """
     if m < 3 or n < 2:
         raise BadParam("torus cordalis needs m >= 3 and n >= 2")
+    check_vertex_count(m * n, "mn")
     if n == 3:
         return seed_cordalis_n3(m)
     if m % 3 == 0:

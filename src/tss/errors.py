@@ -48,6 +48,3 @@ class ConstructionFailedVerification(TssError):
 class TooLarge(TssError):
     """The instance exceeds the solver's vertex limit."""
 
-
-class BudgetExceeded(TssError):
-    """The solver's time budget ran out before the search finished."""

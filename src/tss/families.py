@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BadParam, BadPermutation, NonSimpleResult
-from .graph import Graph, _graph_from_neighbours, build_graph
+from .graph import Graph, _graph_from_neighbours, build_graph, check_vertex_count
 
 
 def identity_permutation(n: int) -> tuple[int, ...]:
@@ -39,6 +39,7 @@ def path(n: int) -> Graph:
     """Path x_1..x_n."""
     if n < 1:
         raise BadParam("path needs n >= 1")
+    check_vertex_count(n, "n")
     labels = {i: f"x{i + 1}" for i in range(n)}
     return build_graph(n, [(i, i + 1) for i in range(n - 1)], labels)
 
@@ -47,6 +48,7 @@ def cycle(n: int) -> Graph:
     """Cycle x_1..x_n."""
     if n < 3:
         raise BadParam("cycle needs n >= 3")
+    check_vertex_count(n, "n")
     labels = {i: f"x{i + 1}" for i in range(n)}
     edges = [(i, (i + 1) % n) for i in range(n)]
     return build_graph(n, edges, labels)
@@ -60,6 +62,7 @@ def cycle_permutation(n: int, permutation: Sequence[int]) -> Graph:
     """
     if n < 4:
         raise BadParam("cycle permutation graph needs n >= 4")
+    check_vertex_count(2 * n, "2n")
     if len(permutation) != n:
         raise BadPermutation(f"permutation length {len(permutation)} != {n}")
     pi = check_permutation(permutation)
@@ -81,6 +84,7 @@ def generalized_petersen(m: int, s: int) -> Graph:
         raise BadParam("generalized Petersen graph needs m >= 3")
     if not 1 <= s <= (m - 1) // 2:
         raise BadParam(f"need 1 <= s <= floor((m-1)/2) = {(m - 1) // 2}, got s={s}")
+    check_vertex_count(2 * m, "2m")
     edges = [(i, (i + 1) % m) for i in range(m)]
     edges += [(m + i, i) for i in range(m)]
     edges += [(m + i, m + (i + s) % m) for i in range(m)]
@@ -136,6 +140,7 @@ def toroidal_mesh(m: int, n: int) -> Graph:
     """m x n torus grid: (i,j) adjacent to (i±1,j) and (i,j±1), wrapping."""
     if m < 3 or n < 3:
         raise BadParam("toroidal mesh needs m >= 3 and n >= 3")
+    check_vertex_count(m * n, "mn")
     nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(m * n)]
     for r in range(0, m * n, n):  # the column wrap (i,n)(i,1) stays in its row
         nbrs[r] = (r - n, r + 1, r + n - 1, r + n)
@@ -152,6 +157,7 @@ def torus_cordalis(m: int, n: int) -> Graph:
     """
     if m < 3 or n < 2:
         raise BadParam("torus cordalis needs m >= 3 and n >= 2")
+    check_vertex_count(m * n, "mn")
     return _torus_graph(m, n, [(k - n, k - 1, k + 1, k + n) for k in range(m * n)])
 
 
@@ -163,6 +169,7 @@ def torus_serpentinus(m: int, n: int) -> Graph:
     """
     if m < 3 or n < 2:
         raise BadParam("torus serpentinus needs m >= 3 and n >= 2")
+    check_vertex_count(m * n, "mn")
     if n == 2:
         raise NonSimpleResult(
             f"torus serpentinus ({m},{n}): replacement edge {(0, m * n - 1)} already present"

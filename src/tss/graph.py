@@ -14,10 +14,11 @@ from typing import Iterable, Mapping, NoReturn
 from .errors import BadParam, DuplicateLabel, SelfLoop, VertexOutOfRange
 
 GRAPH_FORMAT = "tss-graph-v1"
-# Largest vertex count a graph document may declare. Every engine allocates
-# per-vertex arrays, so a larger n is refused before anything is built. The
-# documents in the tests and the benchmark hold at most about 6,000 vertices.
-MAX_DOCUMENT_VERTICES = 10_000_000
+# Largest vertex count a graph document or a family constructor accepts.
+# Every engine allocates per-vertex arrays, so a larger count is refused
+# before anything is built. The graphs in the tests and the benchmark have at
+# most about 15,000 vertices.
+MAX_VERTICES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,15 @@ class Graph:
         return len(self.adjacency[v])
 
     def label_of(self, v: int) -> str:
-        if self.labels and v in self.labels:
-            return self.labels[v]
-        return str(v)
+        label = self.labels.get(v) if self.labels else None
+        return str(v) if label is None else label
+
+
+def check_vertex_count(count: int, what: str) -> None:
+    """Refuse a graph on more than MAX_VERTICES vertices; `what` names the
+    quantity that gives `count` in the message."""
+    if count > MAX_VERTICES:
+        raise BadParam(f"{what} = {count} is above the limit of {MAX_VERTICES} vertices")
 
 
 def build_graph(
@@ -161,8 +168,7 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         n = doc["n"]
         if type(n) is not int:
             _wrong_type("n", n)
-        if n > MAX_DOCUMENT_VERTICES:
-            raise BadParam(f"n = {n} is above the limit of {MAX_DOCUMENT_VERTICES} vertices")
+        check_vertex_count(n, "n")
         edges = [
             (u, v) if type(u) is int and type(v) is int else _wrong_type("edge endpoint", [u, v])
             for u, v in doc["edges"]

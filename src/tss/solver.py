@@ -17,9 +17,7 @@ from typing import Sequence
 from .bounds import lower_bound_lemma
 from .errors import BadParam, TooLarge
 from .graph import Graph, is_connected
-from .thresholds import ThresholdAssignment, check_thresholds
-
-Thresholds = ThresholdAssignment | Sequence[int]
+from .thresholds import check_thresholds
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int
     return active
 
 
-def _prepare(g: Graph, theta: Thresholds, limits: SolveLimits):
+def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
     th = check_thresholds(g, theta)
     if g.vertex_count > limits.max_vertices:
         raise TooLarge(
@@ -142,7 +140,9 @@ def _search_size(
     return frozenset(forced) | frozenset(picks) if found else None
 
 
-def exact_min_seed(g: Graph, theta: Thresholds, limits: SolveLimits = SolveLimits()) -> SolveResult:
+def exact_min_seed(
+    g: Graph, theta: Sequence[int], limits: SolveLimits = SolveLimits()
+) -> SolveResult:
     """Smallest influencing seed, with a deterministic lex-least witness."""
     th, forced = _prepare(g, theta, limits)
     deadline = None
@@ -165,7 +165,7 @@ def exact_min_seed(g: Graph, theta: Thresholds, limits: SolveLimits = SolveLimit
 
 def verify_optimality(
     g: Graph,
-    theta: Thresholds,
+    theta: Sequence[int],
     claimed: int,
     limits: SolveLimits = SolveLimits(),
 ) -> OptimalityCheck:

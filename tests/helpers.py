@@ -18,7 +18,6 @@ from tss.graph import Graph, build_graph
 
 
 def naive_closure(g: Graph, theta, seed) -> set[int]:
-    values = theta.values if hasattr(theta, "values") else tuple(theta)
     active = set(seed)
     changed = True
     while changed:
@@ -26,7 +25,7 @@ def naive_closure(g: Graph, theta, seed) -> set[int]:
         for v in range(g.vertex_count):
             if v in active:
                 continue
-            if sum(1 for w in g.adjacency[v] if w in active) >= values[v]:
+            if sum(1 for w in g.adjacency[v] if w in active) >= theta[v]:
                 active.add(v)
                 changed = True
     return active
@@ -34,14 +33,13 @@ def naive_closure(g: Graph, theta, seed) -> set[int]:
 
 def naive_rounds(g: Graph, theta, seed) -> tuple[list[set[int]], set[int]]:
     """Parallel process round by round, recounting every vertex from scratch."""
-    values = theta.values if hasattr(theta, "values") else tuple(theta)
     active = set(seed)
     rounds = []
     while True:
         new = {
             v
             for v in range(g.vertex_count)
-            if v not in active and sum(1 for w in g.adjacency[v] if w in active) >= values[v]
+            if v not in active and sum(1 for w in g.adjacency[v] if w in active) >= theta[v]
         }
         if not new:
             return rounds, active

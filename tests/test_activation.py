@@ -3,7 +3,6 @@ import random
 import pytest
 
 from tss import (
-    BadParam,
     DuplicateVertex,
     SeedOverlap,
     closure,
@@ -96,16 +95,15 @@ def test_closure_matches_naive_oracle():
 def test_sequential_policies_match_parallel():
     g = path(3)
     theta = constant_threshold(g, 1)
-    assert sequential_closure(g, theta, [1]) == frozenset({0, 1, 2})
-    assert sequential_closure(g, theta, [], "random", rng_seed=5) == frozenset()
+    assert sequential_closure(g, theta, [1], 0) == frozenset({0, 1, 2})
+    assert sequential_closure(g, theta, [], 5) == frozenset()
     rng = random.Random(22)
     for trial in range(80):
         g = random_connected_graph(rng, 14)
         theta = random_thresholds(rng, g)
         seed = rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))
         expected = closure(g, theta, seed)
-        assert sequential_closure(g, theta, seed) == expected
-        assert sequential_closure(g, theta, seed, "random", rng_seed=trial) == expected
+        assert sequential_closure(g, theta, seed, trial) == expected
 
 
 def test_sequential_random_policy_on_9x9_torus_seed():
@@ -114,16 +112,8 @@ def test_sequential_random_policy_on_9x9_torus_seed():
     g = torus_cordalis(9, 9)
     theta = constant_threshold(g, 3)
     seed = seed_cordalis_n3s(9, 3).seed
-    final = sequential_closure(g, theta, seed, "random", rng_seed=99)
+    final = sequential_closure(g, theta, seed, 99)
     assert len(final) == 81
-
-
-def test_sequential_needs_explicit_rng_seed():
-    g = path(3)
-    with pytest.raises(BadParam):
-        sequential_closure(g, constant_threshold(g, 1), [1], "random")
-    with pytest.raises(BadParam):
-        sequential_closure(g, constant_threshold(g, 1), [1], "nonsense")
 
 
 def test_monotonicity_and_idempotence():
@@ -201,7 +191,7 @@ def test_engine_rounds_match_from_scratch_recount():
         trace = parallel_trace(g, theta, seed)
         assert [set(r) for r in trace.rounds] == want_rounds
         assert trace.final == want_final == closure(g, theta, seed)
-        assert sequential_closure(g, theta, seed) == want_final
+        assert sequential_closure(g, theta, seed, rng.randrange(1 << 30)) == want_final
         order = [v for r in want_rounds for v in sorted(r)]
         assert extract_convinced_sequence(g, theta, seed) == order
         # a shuffled order fails first where a from-scratch count says it does
@@ -226,5 +216,5 @@ def test_engine_rounds_match_from_scratch_recount():
 
 def test_trace_json_shape():
     g = path(3)
-    doc = parallel_trace(g, constant_threshold(g, 1), [1]).to_json()
-    assert '"seed": [1]' in doc and '"final_size": 3' in doc
+    doc = parallel_trace(g, constant_threshold(g, 1), [1]).to_dict()
+    assert doc == {"seed": [1], "rounds": [[0, 2]], "final_size": 3}

@@ -2,11 +2,30 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tss import graph_from_json
+from tss import (
+    constant_threshold,
+    cycle,
+    cycle_permutation,
+    generalized_petersen,
+    graph_from_json,
+    graph_to_dot,
+    graph_to_json,
+    identity_permutation,
+    majority_threshold,
+    path,
+    permutation_from_one_based,
+    seed_cycle_permutation,
+    seed_generalized_petersen,
+    seed_torus_cordalis,
+    toroidal_mesh,
+    torus_cordalis,
+    torus_serpentinus,
+)
 from tss.cli import FAMILIES, main
 
 
@@ -48,11 +67,6 @@ def test_gen_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "gen", "--family", "cordalis", "--m", "2", "--n", "3")
     assert code == 2
     assert "error" in err
-
-
-def test_gen_missing_param_exit_2(capsys):
-    code, _, err = run(capsys, "gen", "--family", "gpg", "--m", "5")
-    assert code == 2
 
 
 def test_seed_cordalis_golden_value(capsys):
@@ -286,6 +300,121 @@ def test_vertex_cap_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "above the limit" in err
+
+
+# Each family's size flags, listed here independently of the CLI's own table.
+FAMILY_FLAGS = {
+    "path": (("--n", "6"),),
+    "cycle": (("--n", "6"),),
+    "cp": (("--n", "5"),),
+    "gpg": (("--m", "7"), ("--s", "2")),
+    "mesh": (("--m", "4"), ("--n", "5")),
+    "cordalis": (("--m", "5"), ("--n", "7")),
+    "serpentinus": (("--m", "4"), ("--n", "5")),
+}
+LIBRARY = {
+    "path": lambda: path(6),
+    "cycle": lambda: cycle(6),
+    "cp": lambda: cycle_permutation(5, identity_permutation(5)),
+    "gpg": lambda: generalized_petersen(7, 2),
+    "mesh": lambda: toroidal_mesh(4, 5),
+    "cordalis": lambda: torus_cordalis(5, 7),
+    "serpentinus": lambda: torus_serpentinus(4, 5),
+}
+
+
+def _family_argv(family):
+    return ["--family", family, *(tok for pair in FAMILY_FLAGS[family] for tok in pair)]
+
+
+def test_every_family_gen_and_export_dot_match_the_library(capsys):
+    assert set(FAMILY_FLAGS) == set(FAMILIES)
+    for family in FAMILIES:
+        g = LIBRARY[family]()
+        argv = _family_argv(family)
+        assert run(capsys, "gen", *argv) == (0, graph_to_json(g) + "\n", "")
+        assert run(capsys, "gen", *argv, "--dot") == (0, graph_to_dot(g), "")
+        assert run(capsys, "export-dot", *argv) == (0, graph_to_dot(g), "")
+        want = graph_to_json(g, constant_threshold(g, 2)) + "\n"
+        assert run(capsys, "gen", *argv, "--k", "2") == (0, want, "")
+        want = graph_to_json(g, majority_threshold(g)) + "\n"
+        assert run(capsys, "gen", *argv, "--threshold", "majority") == (0, want, "")
+
+
+def test_gen_missing_param_exit_2(capsys):
+    code, _, err = run(capsys, "gen", "--family", "gpg", "--m", "5")
+    assert code == 2
+    # every command that builds a family names the first size flag it lacks
+    commands = (("gen",), ("export-dot",), ("simulate", "--k", "2", "--seed", "0"),
+                ("bounds", "--k", "2"))
+    for family, flags in FAMILY_FLAGS.items():
+        seed_family = family in ("cordalis", "gpg", "cp")
+        for command in commands + ((("seed",),) if seed_family else ()):
+            for i, (missing, _) in enumerate(flags):
+                kept = [tok for j, pair in enumerate(flags) if j != i for tok in pair]
+                code, out, err = run(capsys, *command, "--family", family, *kept)
+                assert (code, out) == (2, "")
+                assert err == f"error: --family {family} needs {missing}\n"
+            # with every size flag missing, the first one is named
+            code, _, err = run(capsys, *command, "--family", family)
+            assert code == 2 and err == f"error: --family {family} needs {flags[0][0]}\n"
+
+
+def test_seed_matches_the_library_report(capsys):
+    cases = (
+        (("--family", "cordalis", "--m", "7", "--n", "8"), seed_torus_cordalis(7, 8)),
+        (("--family", "cordalis", "--m", "5", "--n", "5"), seed_torus_cordalis(5, 5)),
+        (("--family", "gpg", "--m", "10", "--s", "4"), seed_generalized_petersen(10, 4)),
+        (("--family", "cp", "--n", "6"), seed_cycle_permutation(6, identity_permutation(6))),
+        (("--family", "cp", "--n", "5", "--pi", "1,3,5,2,4"),
+         seed_cycle_permutation(5, permutation_from_one_based([1, 3, 5, 2, 4]))),
+    )
+    for argv, report in cases:
+        code, out, err = run(capsys, "seed", *argv)
+        assert (code, json.loads(out), err) == (0, report.to_dict(), "")
+        code, out, _ = run(capsys, "seed", *argv, "--include-sequence")
+        want = {**report.to_dict(), "sequence": list(report.convinced_sequence)}
+        assert (code, out) == (0, json.dumps(want) + "\n")
+
+
+def test_threshold_specs(capsys):
+    code, out, _ = run(capsys, "gen", "--family", "path", "--n", "5", "--threshold", "majority")
+    assert code == 0 and graph_from_json(out)[1] == [1, 1, 1, 1, 1]
+    for spec in ("bogus", "constant", "majority:2"):
+        code, out, err = run(capsys, "gen", "--family", "path", "--n", "5", "--threshold", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad threshold spec {spec!r}")
+    code, out, err = run(capsys, "simulate", "--family", "path", "--n", "5",
+                         "--threshold", "constant:x", "--seed", "0")
+    assert (code, out) == (2, "") and "invalid literal" in err
+
+
+def test_permutation_flag_errors_exit_2(capsys):
+    for command in ("gen", "seed", "export-dot"):
+        code, out, err = run(capsys, command, "--family", "cp", "--n", "5", "--pi", "1,3")
+        assert (code, out, err) == (2, "", "error: permutation needs 5 entries, got 2\n")
+        code, out, err = run(capsys, command, "--family", "cp", "--n", "5", "--pi", "1,1,2,3,4")
+        assert (code, out) == (2, "") and "not a bijection" in err
+
+
+def test_family_sizes_capped_before_allocating_exit_2(capsys):
+    big = str(10**12)
+    argvs = [("gen", "--family", "path", "--n", big), ("gen", "--family", "cp", "--n", big),
+             ("gen", "--family", "gpg", "--m", big, "--s", "1"),
+             ("gen", "--family", "cordalis", "--m", big, "--n", "3"),
+             ("seed", "--family", "cp", "--n", big),
+             ("seed", "--family", "gpg", "--m", big, "--s", "1"),
+             ("seed", "--family", "cordalis", "--m", big, "--n", "3"),
+             ("seed", "--family", "cordalis", "--m", "1000000", "--n", "1000000")]
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and "above the limit" in err
+        assert peak < 1 << 20, argv
 
 
 # --- property test: every command line and document ends in exit 0, 1 or 2 ---

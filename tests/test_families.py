@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,12 +13,13 @@ from tss import (
     identity_permutation,
     path,
     permutation_from_one_based,
+    seed_torus_cordalis,
     toroidal_mesh,
     torus_cordalis,
     torus_serpentinus,
     torus_vertex_id,
 )
-from tss.graph import graph_to_dot, graph_to_json
+from tss.graph import MAX_VERTICES, graph_to_dot, graph_to_json
 from helpers import reference_torus, two_colorable
 
 
@@ -228,3 +230,24 @@ def test_torus_labels_are_computed_on_lookup(variant, build, n_min):
             assert graph_to_json(g) == graph_to_json(want)
             assert graph_to_json(g, [3] * (m * n)) == graph_to_json(want, [3] * (m * n))
             assert graph_to_dot(g, [0, m * n - 1]) == graph_to_dot(want, [0, m * n - 1])
+
+
+def test_family_sizes_capped_before_allocating():
+    big = 10**12
+    tracemalloc.start()
+    try:
+        for build, args in ((path, (big,)), (cycle, (big,)), (cycle_permutation, (big, ())),
+                            (generalized_petersen, (big, 1)), (toroidal_mesh, (10**6, 10**6)),
+                            (torus_cordalis, (big, 3)), (torus_serpentinus, (3, big)),
+                            (seed_torus_cordalis, (big, 3)), (seed_torus_cordalis, (10**6, 10**6))):
+            with pytest.raises(BadParam, match="above the limit"):
+                build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the limit counts vertices: P(m,s) and the cycle permutation graph have two per m (n)
+    with pytest.raises(BadParam, match=f"2m = {MAX_VERTICES + 2} is above"):
+        generalized_petersen(MAX_VERTICES // 2 + 1, 1)
+    with pytest.raises(BadParam, match=f"mn = {MAX_VERTICES + 4} is above"):
+        torus_cordalis(4, MAX_VERTICES // 4 + 1)

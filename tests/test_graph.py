@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 
@@ -17,7 +18,7 @@ from tss import (
     is_connected,
     torus_cordalis,
 )
-from tss.graph import MAX_DOCUMENT_VERTICES
+from tss.graph import MAX_VERTICES, Graph
 from helpers import random_connected_graph
 
 
@@ -132,7 +133,7 @@ def test_json_rejects_garbage():
 def test_json_vertex_cap_rejects_before_allocating():
     tracemalloc.start()
     try:
-        for n in (MAX_DOCUMENT_VERTICES + 1, 10**12, 10**100):
+        for n in (MAX_VERTICES + 1, 10**12, 10**100):
             with pytest.raises(BadParam, match="above the limit"):
                 graph_from_json('{"format": "tss-graph-v1", "n": %d, "edges": []}' % n)
         _, peak = tracemalloc.get_traced_memory()
@@ -162,3 +163,25 @@ def test_dot_output():
     assert "0 -- 1;" in dot
     assert 'label="a"' in dot
     assert "style=filled" in dot
+
+
+def test_label_of_looks_a_label_up_once():
+    class CountingLabels(Mapping):  # like TorusLabels: `in` would call __getitem__ too
+        def __init__(self, labels):
+            self.labels, self.lookups = labels, 0
+
+        def __getitem__(self, v):
+            self.lookups += 1
+            return self.labels[v]
+
+        def __iter__(self):
+            return iter(self.labels)
+
+        def __len__(self):
+            return len(self.labels)
+
+    labels = CountingLabels({0: "a", 1: "b"})
+    g = Graph(2, ((0, 1),), labels)
+    assert [g.label_of(v) for v in (0, 1, 2)] == ["a", "b", "2"]
+    assert labels.lookups == 3
+    assert build_graph(3, [(0, 1)]).label_of(2) == "2"

@@ -250,14 +250,13 @@ def test_nodes_explored_matches_naive_enumeration():
     for trial in range(60):
         g = random_connected_graph(rng, 9)
         theta = random_thresholds(rng, g) if trial % 2 else constant_threshold(g, rng.randint(1, 3))
-        values = theta.values if hasattr(theta, "values") else theta
-        floor = sum(values[v] > g.degree(v) for v in g.vertices())
-        if len(set(values)) == 1 and values[0] >= 1:
-            floor = max(floor, lower_bound_lemma(g, values[0]))
+        floor = sum(theta[v] > g.degree(v) for v in g.vertices())
+        if len(set(theta)) == 1 and theta[0] >= 1:
+            floor = max(floor, lower_bound_lemma(g, theta[0]))
         result = exact_min_seed(g, theta)
-        witness, visited = _naive_search(g, values, range(floor, g.vertex_count + 1))
+        witness, visited = _naive_search(g, theta, range(floor, g.vertex_count + 1))
         assert (result.witness, result.nodes_explored) == (witness, visited)
         check = verify_optimality(g, theta, result.optimum)
         sizes = range(max(result.optimum - 1, 0), result.optimum + 1)
-        witness, visited = _naive_search(g, values, sizes)
+        witness, visited = _naive_search(g, theta, sizes)
         assert (check.witness, check.nodes_explored) == (witness, visited)

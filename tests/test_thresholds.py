@@ -3,7 +3,6 @@ import pytest
 from tss import (
     BadParam,
     SizeMismatch,
-    ThresholdAssignment,
     closure,
     constant_threshold,
     cycle,
@@ -18,8 +17,8 @@ from tss.thresholds import check_thresholds
 
 def test_constant():
     g = cycle(3)
-    assert constant_threshold(g, 2).values == (2, 2, 2)
-    assert constant_threshold(generalized_petersen(5, 2), 2).values == (2,) * 10
+    assert constant_threshold(g, 2) == (2, 2, 2)
+    assert constant_threshold(generalized_petersen(5, 2), 2) == (2,) * 10
     with pytest.raises(BadParam):
         constant_threshold(g, -1)
 
@@ -30,21 +29,21 @@ def test_constant_zero_makes_empty_seed_influence():
 
 
 def test_majority():
-    assert majority_threshold(generalized_petersen(5, 2)).values == (2,) * 10
-    assert majority_threshold(torus_cordalis(3, 3)).values == (2,) * 9
-    assert majority_threshold(path(3)).values == (1, 1, 1)
+    assert majority_threshold(generalized_petersen(5, 2)) == (2,) * 10
+    assert majority_threshold(torus_cordalis(3, 3)) == (2,) * 9
+    assert majority_threshold(path(3)) == (1, 1, 1)
 
 
 def test_strict_majority():
-    assert strict_majority_threshold(generalized_petersen(7, 3)).values == (2,) * 14
-    assert strict_majority_threshold(torus_cordalis(4, 3)).values == (3,) * 12
-    assert strict_majority_threshold(path(5)).values == (1, 2, 2, 2, 1)
+    assert strict_majority_threshold(generalized_petersen(7, 3)) == (2,) * 14
+    assert strict_majority_threshold(torus_cordalis(4, 3)) == (3,) * 12
+    assert strict_majority_threshold(path(5)) == (1, 2, 2, 2, 1)
 
 
 def test_strict_vs_majority_gap():
     for g in (path(6), cycle(5), generalized_petersen(6, 2), torus_cordalis(4, 4)):
-        maj = majority_threshold(g).values
-        strict = strict_majority_threshold(g).values
+        maj = majority_threshold(g)
+        strict = strict_majority_threshold(g)
         for v in g.vertices():
             gap = strict[v] - maj[v]
             assert gap in (0, 1)
@@ -64,11 +63,7 @@ def test_negative_thresholds_rejected_raw_or_wrapped():
         closure(g, [-1, 2, 2, 2], [0])
     with pytest.raises(BadParam):
         closure(g, (2, 2, 2, -3), [0])
-    with pytest.raises(BadParam):
-        ThresholdAssignment((-1,))
-    with pytest.raises(BadParam):
-        ThresholdAssignment((2, 2, -1, 2))
-    # the length is checked before the sign, for raw sequences too
+    # the length is checked before the sign
     with pytest.raises(SizeMismatch):
         closure(g, [-1, 2], [0])
     assert check_thresholds(g, [0, 1, 2, 3]) == (0, 1, 2, 3)
