@@ -30,15 +30,22 @@ def _ceil_div(a: int, b: int) -> int:
 def lower_bound_lemma(g: Graph, k: int) -> int:
     """Degree-counting lower bound for constant threshold k on a connected graph.
 
-    Any seed that influences everything satisfies
-    |S| >= (|E| - (Delta - k)|V| + 1) / k; returns the ceiling, floored at 0.
+    In any activation order each edge leads forward from exactly one end, and
+    a non-seed vertex has at most Delta - k forward edges, a seed at most
+    Delta, so |E| <= (Delta - k)|V| + k|S|. One more unit is free when a
+    vertex has degree below Delta, or when k < Delta (the last vertex has no
+    forward edge against an allowance of at least Delta - k >= 1); then
+    |S| >= (|E| - (Delta - k)|V| + 1) / k. On a Delta-regular graph with
+    k >= Delta the +1 is dropped. Returns the ceiling, floored at 0.
     """
     if k < 1:
         raise BadParam("constant threshold k must be >= 1")
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("lower bound requires a connected non-empty graph")
-    delta = max(len(a) for a in g.adjacency)
-    num = len(g.edges) - (delta - k) * g.vertex_count + 1
+    degrees = [len(a) for a in g.adjacency]
+    delta = max(degrees)
+    slack = k < delta or min(degrees) < delta
+    num = len(g.edges) - (delta - k) * g.vertex_count + slack
     return max(0, _ceil_div(num, k))
 
 

@@ -89,8 +89,14 @@ def _build_family(args) -> Graph:
     return getattr(families, FAMILY_TABLE[args.family][1])(*_family_sizes(args))
 
 
+def _one_source(args) -> None:
+    if getattr(args, "graph", None) and getattr(args, "family", None):
+        raise BadParam("give either --graph or --family, not both")
+
+
 def _load_graph(args) -> tuple[Graph, list[int] | None]:
     """Graph from --graph (path or '-') or from family flags."""
+    _one_source(args)
     if getattr(args, "graph", None):
         text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
         return graph_from_json(text)
@@ -221,6 +227,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _one_source(args)
     if args.family in ("cordalis", "mesh", "serpentinus"):
         m, n = _family_sizes(args)
         report = bounds_mod.torus_bounds(m, n, args.family)
@@ -236,7 +243,7 @@ def cmd_bounds(args) -> int:
         if len(set(theta)) != 1 or theta[0] < 1:
             raise TssError("the degree-counting lower bound needs a constant threshold k >= 1")
         upper = g.vertex_count
-        if theta[0] == 2 and not args.graph and args.family in ("gpg", "cp"):
+        if theta[0] == 2 and args.family in ("gpg", "cp"):
             # the verified seed construction on 2m (2n) vertices is the best known upper bound
             upper = bounds_mod.cubic_seed_size(g.vertex_count // 2)
         doc = {

@@ -239,6 +239,7 @@ def seed_generalized_petersen(m: int, s: int) -> SeedReport:
 
 def seed_cordalis_n3(m: int) -> SeedReport:
     """Exact m+1 seed for the m x 3 torus cordalis."""
+    check_vertex_count(3 * m, "mn")
     if m < 3:
         raise BadParam("need m >= 3")
     s1 = [(2 * i + 1, 1) for i in _irange(0, (m - 1) // 2)]
@@ -273,6 +274,7 @@ def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
     Odd m >= 5 and even m >= 8 with even s give the exact value ms+1; even m
     with odd s gives ms+2 with a one-away lower bound.
     """
+    check_vertex_count(3 * m * s, "mn")
     if s < 2:
         raise BadParam("need s >= 2 (use the n=3 builder for s=1)")
     n = 3 * s
@@ -296,6 +298,7 @@ def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
 
 def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
     """Seeds for the m x n torus cordalis with n = 3s+1 (upper bounds)."""
+    check_vertex_count(m * n, "mn")
     if n < 4 or n % 3 != 1:
         raise BadParam("need n >= 4 with n = 3s+1")
     s = (n - 1) // 3
@@ -343,6 +346,7 @@ def seed_cordalis_n2mod3(m: int, n: int) -> SeedReport:
     the right margin is 5 rows for even m and 2 rows for odd m. Between them
     sit interior blocks of four rows.
     """
+    check_vertex_count(m * n, "mn")
     if m < 10:
         raise BadParam("need m >= 10")
     if n < 5 or n % 3 != 2:
@@ -385,6 +389,7 @@ def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
 
     Odd n below 5 reduces to the n=3 builder.
     """
+    check_vertex_count(m * n, "mn")
     if m < 3 or m % 3 != 0:
         raise BadParam("need m >= 3 with m = 3t")
     if n < 2:
@@ -469,7 +474,6 @@ def seed_torus_cordalis(m: int, n: int) -> SeedReport:
     """
     if m < 3 or n < 2:
         raise BadParam("torus cordalis needs m >= 3 and n >= 2")
-    check_vertex_count(m * n, "mn")
     if n == 3:
         return seed_cordalis_n3(m)
     if m % 3 == 0:

@@ -6,6 +6,14 @@ optimum. Each size is a depth-first walk over the candidates in
 lexicographic order. A tree node keeps the closed active set of its prefix,
 so adding one vertex only cascades from that vertex: just the neighbours of
 newly active vertices are re-tested.
+
+Two proofs cut the work without changing any witness. No size below a proven
+floor (the forced vertices, or `lower_bound_lemma` under a constant
+threshold) is searched. On a circulant labelling, where the thresholds are
+constant and v -> v+1 (mod N) maps every edge to an edge, a rotation carries
+any influencing seed to one that contains vertex 0, so the lexicographically
+first influencing seed of each size k >= 1 contains 0 and only candidates
+with 0 are walked.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int
 
 
 def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
+    """(thresholds, forced vertices, whether the labelling is a circulant)."""
     th = check_thresholds(g, theta)
     if g.vertex_count > limits.max_vertices:
         raise TooLarge(
@@ -83,33 +92,49 @@ def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("solver requires a connected non-empty graph")
     forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
-    return th, forced
+    n, masks = g.vertex_count, g.neighbor_masks
+    circulant = all(t == th[0] for t in th) and all(
+        masks[(u + 1) % n] >> (v + 1) % n & 1 for u, v in g.edges
+    )
+    return th, forced, circulant
+
+
+def _floor(g: Graph, th: Sequence[int], forced: Sequence[int]) -> tuple[int, str]:
+    """A proven lower bound on the optimum and the name of its source."""
+    if all(t == th[0] for t in th) and th[0] >= 1:
+        lemma = lower_bound_lemma(g, th[0])
+        if lemma >= len(forced):
+            return lemma, "lemma3"
+    return len(forced), "forced-vertex"
 
 
 def _search_size(
     g: Graph,
     th: Sequence[int],
     forced: Sequence[int],
+    anchor: bool,
     k: int,
     deadline: float | None,
     counter: list[int],
 ) -> frozenset[int] | None:
     """Lexicographically first influencing seed of size k, or None.
 
-    Candidates are forced-vertices plus k-|forced| others; merging a fixed
-    sorted set into lexicographically ordered combinations preserves the lex
-    order of the merged tuples. The walk visits the leaves (candidates) in
-    the order of `itertools.combinations`, and `counter` counts them.
+    Candidates are a fixed set (the forced vertices, plus vertex 0 when
+    `anchor` holds and k >= 1) plus k-|fixed| others; merging a fixed sorted
+    set into lexicographically ordered combinations preserves the lex order
+    of the merged tuples. The walk visits the leaves (candidates) in the
+    order of `itertools.combinations`, and `counter` counts them.
     """
-    if k < len(forced):
+    fixed = sorted({0, *forced}) if anchor and k else forced
+    if k < len(fixed):
         return None
     masks = g.neighbor_masks
     full = g.full_mask
-    forced_mask = 0
-    for v in forced:
-        forced_mask |= 1 << v
-    rest = [v for v in g.vertices() if not (forced_mask >> v) & 1]
-    picks: list[int] = []  # the witness's non-forced vertices, deepest first
+    fixed_mask = 0
+    for v in fixed:
+        fixed_mask |= 1 << v
+    rest = [v for v in g.vertices() if not (fixed_mask >> v) & 1]
+    picks: list[int] = []  # the witness's non-fixed vertices, deepest first
 
     def tick() -> None:
         counter[0] += 1
@@ -131,31 +156,29 @@ def _search_size(
                 return True
         return False
 
-    base = _cascade(masks, th, forced_mask, full & ~forced_mask)
-    if k == len(forced):
+    base = _cascade(masks, th, fixed_mask, full & ~fixed_mask)
+    if k == len(fixed):
         tick()
         found = base == full
     else:
-        found = walk(base, 0, k - len(forced))
-    return frozenset(forced) | frozenset(picks) if found else None
+        found = walk(base, 0, k - len(fixed))
+    return frozenset(fixed) | frozenset(picks) if found else None
 
 
 def exact_min_seed(
     g: Graph, theta: Sequence[int], limits: SolveLimits = SolveLimits()
 ) -> SolveResult:
     """Smallest influencing seed, with a deterministic lex-least witness."""
-    th, forced = _prepare(g, theta, limits)
+    th, forced, anchor = _prepare(g, theta, limits)
     deadline = None
     if limits.time_budget_s is not None:
         deadline = time.monotonic() + limits.time_budget_s
-    floor = len(forced)
-    if all(t == th[0] for t in th) and th[0] >= 1:
-        floor = max(floor, lower_bound_lemma(g, th[0]))
+    floor, _ = _floor(g, th, forced)
     top = g.vertex_count if limits.max_size is None else min(limits.max_size, g.vertex_count)
     counter = [0]
     for k in range(floor, top + 1):
         try:
-            witness = _search_size(g, th, forced, k, deadline, counter)
+            witness = _search_size(g, th, forced, anchor, k, deadline, counter)
         except TimeoutError:
             return SolveResult(None, None, counter[0], "budget_exceeded")
         if witness is not None:
@@ -170,20 +193,34 @@ def verify_optimality(
     limits: SolveLimits = SolveLimits(),
 ) -> OptimalityCheck:
     """Check a claimed optimum: confirmed, refuted with a smaller witness, or
-    inconclusive (budget ran out, or no seed of the claimed size works)."""
+    inconclusive (budget ran out, or no seed of the claimed size works).
+
+    A claim below the floor is inconclusive without a search; a claim at the
+    floor is confirmed by one seed of its size, and `reason` names the bound
+    that rules out the size below."""
     if claimed < 0:
         raise BadParam("claimed optimum must be non-negative")
-    th, forced = _prepare(g, theta, limits)
+    th, forced, anchor = _prepare(g, theta, limits)
+    floor, source = _floor(g, th, forced)
+    if claimed < floor:
+        return OptimalityCheck(
+            "inconclusive",
+            reason=f"size {claimed} is below the {source} lower bound {floor}; "
+            "true optimum is larger",
+        )
     deadline = None
     if limits.time_budget_s is not None:
         deadline = time.monotonic() + limits.time_budget_s
     counter = [0]
+    reason = None
     try:
-        if claimed > 0:
-            smaller = _search_size(g, th, forced, claimed - 1, deadline, counter)
+        if claimed > floor:
+            smaller = _search_size(g, th, forced, anchor, claimed - 1, deadline, counter)
             if smaller is not None:
                 return OptimalityCheck("refuted", witness=smaller, nodes_explored=counter[0])
-        at_claim = _search_size(g, th, forced, claimed, deadline, counter)
+        elif claimed > 0:
+            reason = f"size {claimed - 1} is below the {source} lower bound {floor}"
+        at_claim = _search_size(g, th, forced, anchor, claimed, deadline, counter)
     except TimeoutError:
         return OptimalityCheck(
             "inconclusive", reason="time budget exceeded", nodes_explored=counter[0]
@@ -194,4 +231,6 @@ def verify_optimality(
             reason=f"no influencing seed of size {claimed} exists; true optimum is larger",
             nodes_explored=counter[0],
         )
-    return OptimalityCheck("confirmed", witness=at_claim, nodes_explored=counter[0])
+    return OptimalityCheck(
+        "confirmed", witness=at_claim, reason=reason, nodes_explored=counter[0]
+    )

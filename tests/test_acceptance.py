@@ -31,7 +31,7 @@ from tss import (
     verify_optimality,
 )
 from tss.constructions import formula_value
-from helpers import random_connected_graph, random_thresholds
+from helpers import naive_min_seed, random_connected_graph, random_thresholds
 
 # the four pairwise non-isomorphic cycle permutation graphs over a 5-cycle
 CP5_CLASSES = [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 4, 2), (0, 2, 4, 1, 3)]
@@ -182,7 +182,10 @@ def test_criterion_6_oracle_consistency():
         theta = constant_threshold(g, k)
         result = exact_min_seed(g, theta)
         assert result.status == "optimal"
-        assert lower_bound_lemma(g, k) <= result.optimum
+        # brute force, which (unlike the solver) does not start at the lemma
+        optimum = naive_min_seed(g, theta)
+        assert result.optimum == optimum
+        assert lower_bound_lemma(g, k) <= optimum
         assert is_influencing(g, theta, result.witness)
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)

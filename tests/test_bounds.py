@@ -8,7 +8,6 @@ from tss import (
     build_graph,
     constant_threshold,
     cycle,
-    exact_min_seed,
     flocchini_upper,
     generalized_petersen,
     lower_bound_lemma,
@@ -16,7 +15,7 @@ from tss import (
     torus_cordalis,
     tss_lower_bound_torus,
 )
-from helpers import random_connected_graph
+from helpers import naive_min_seed, random_connected_graph
 
 
 def test_lemma_on_petersen():
@@ -29,10 +28,26 @@ def test_lemma_on_12x14_torus():
 
 
 def test_lemma_on_regular_graph_with_k_equal_delta():
+    # no +1 when a Delta-regular graph has k >= Delta: the bound is ceil(|E|/k)
     for g in (cycle(7), generalized_petersen(6, 2)):
         k = g.degree(0)
-        expected = -((-(len(g.edges) + 1)) // k)
-        assert lower_bound_lemma(g, k) == expected
+        assert lower_bound_lemma(g, k) == -(-len(g.edges) // k)
+    assert lower_bound_lemma(generalized_petersen(6, 2), 3) == 6
+    # the +1 stays when k < Delta, or when the graph is irregular
+    assert lower_bound_lemma(generalized_petersen(6, 2), 2) == 4
+    assert lower_bound_lemma(build_graph(3, [(0, 1), (1, 2)]), 2) == 2
+
+
+def test_lemma_below_brute_force_on_regular_graphs_with_k_at_degree():
+    graphs = [build_graph(1, []), build_graph(2, [(0, 1)])]
+    graphs += [cycle(n) for n in range(3, 11)]
+    graphs += [generalized_petersen(6, 2), generalized_petersen(8, 3), torus_cordalis(3, 4)]
+    for g in graphs:
+        d = g.degree(0)
+        for k in {max(d, 1), max(d - 1, 1)}:  # K1 (d = 0) at k = 1
+            assert lower_bound_lemma(g, k) <= naive_min_seed(g, constant_threshold(g, k))
+    g = generalized_petersen(8, 3)
+    assert lower_bound_lemma(g, 3) == naive_min_seed(g, constant_threshold(g, 3)) == 8
 
 
 def test_lemma_preconditions():
@@ -81,10 +96,9 @@ def test_bounds_report_orders_bounds():
 
 
 def test_lemma_below_exact_on_random_graphs():
+    # brute force, not the solver: the solver starts its search at the lemma
     rng = random.Random(31)
     for _ in range(40):
         g = random_connected_graph(rng, 10)
-        for k in (2, 3):
-            theta = constant_threshold(g, k)
-            result = exact_min_seed(g, theta)
-            assert lower_bound_lemma(g, k) <= result.optimum
+        for k in (1, 2, 3):
+            assert lower_bound_lemma(g, k) <= naive_min_seed(g, constant_threshold(g, k))

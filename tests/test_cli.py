@@ -178,6 +178,42 @@ def test_exact_small_torus(capsys):
     assert json.loads(out)["optimum"] == 4
 
 
+def test_exact_on_regular_graphs_with_k_at_degree(capsys):
+    code, out, _ = run(capsys, "exact", "--family", "gpg", "--m", "8", "--s", "3", "--k", "3")
+    assert code == 0 and json.loads(out)["optimum"] == 8
+    code, out, _ = run(capsys, "exact", "--family", "cycle", "--n", "4", "--k", "2")
+    assert code == 0 and json.loads(out)["optimum"] == 2
+    _, out, _ = run(capsys, "bounds", "--family", "cycle", "--n", "4", "--k", "2")
+    assert json.loads(out)["lower"] == 2
+
+
+def test_check_optimal_names_the_floor(capsys):
+    code, out, _ = run(
+        capsys, "check-optimal", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3",
+        "--claimed", "4",
+    )
+    assert code == 0
+    assert json.loads(out) == {"status": "confirmed", "witness": [0, 1, 3, 5],
+                               "reason": "size 3 is below the lemma3 lower bound 4",
+                               "nodes_explored": 8}
+    code, out, _ = run(
+        capsys, "check-optimal", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3",
+        "--claimed", "3",
+    )
+    doc = json.loads(out)
+    assert code == 1 and (doc["status"], doc["nodes_explored"]) == ("inconclusive", 0)
+
+
+def test_graph_and_family_together_exit_2(capsys, tmp_path):
+    gpath = tmp_path / "c4.json"
+    gpath.write_text(graph_to_json(cycle(4)))
+    both = ("--graph", str(gpath), "--family", "cordalis", "--m", "9", "--n", "9")
+    for argv in (("simulate", *both, "--k", "2", "--seed", "0,2"), ("bounds", *both),
+                 ("exact", *both, "--k", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "not both" in err, argv
+
+
 def test_check_optimal_exit_codes(capsys):
     code, out, _ = run(
         capsys, "check-optimal", "--family", "cycle", "--n", "3", "--k", "2",

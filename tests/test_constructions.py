@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -385,3 +386,19 @@ def test_convinced_sequence_is_round_by_round():
     g = torus_cordalis(7, 3)
     trace = parallel_trace(g, constant_threshold(g, 3), report.seed)
     assert report.convinced_sequence == tuple(v for r in trace.rounds for v in sorted(r))
+
+
+def test_per_case_builders_capped_before_allocating():
+    big = 10**12
+    tracemalloc.start()
+    try:
+        for build, args in ((seed_cordalis_n3, (big,)), (seed_cordalis_n3s, (big + 1, 2)),
+                            (seed_cordalis_n1mod3, (big + 1, 4)), (seed_cordalis_n2mod3, (big, 5)),
+                            (seed_cordalis_m0mod3, (3 * big, 2)),
+                            (seed_torus_cordalis, (4, big + 1))):  # the fallback
+            with pytest.raises(BadParam, match="above the limit"):
+                build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

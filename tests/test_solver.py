@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -15,9 +16,9 @@ from tss import (
     exact_min_seed,
     generalized_petersen,
     is_influencing,
-    lower_bound_lemma,
     path,
     strict_majority_threshold,
+    toroidal_mesh,
     torus_cordalis,
     torus_serpentinus,
     verify_optimality,
@@ -162,10 +163,42 @@ def test_verify_optimality_examples():
 
 
 def test_verify_optimality_budget_inconclusive():
-    g = generalized_petersen(8, 3)
-    check = verify_optimality(g, constant_threshold(g, 2), 5, SolveLimits(time_budget_s=0.0))
+    # the refutation of 7 (the lemma floor) walks far past the first 1,024
+    # leaves, where the deadline is first read
+    g = torus_cordalis(4, 5)
+    check = verify_optimality(g, constant_threshold(g, 3), 8, SolveLimits(time_budget_s=0.0))
     assert check.status == "inconclusive"
     assert "budget" in check.reason
+
+
+def test_verify_optimality_starts_at_the_floor():
+    g = generalized_petersen(8, 3)
+    theta = constant_threshold(g, 3)
+    check = verify_optimality(g, theta, 8)
+    assert check.status == "confirmed" and len(check.witness) == 8
+    assert check.reason == "size 7 is below the lemma3 lower bound 8"
+    below = verify_optimality(g, theta, 7)
+    assert (below.status, below.nodes_explored, below.witness) == ("inconclusive", 0, None)
+    assert below.reason == "size 7 is below the lemma3 lower bound 8; true optimum is larger"
+    # forced vertices give the floor when the thresholds are not constant
+    g = path(3)
+    below = verify_optimality(g, (2, 1, 2), 1)
+    assert (below.status, below.nodes_explored) == ("inconclusive", 0)
+    assert below.reason.startswith("size 1 is below the forced-vertex lower bound 2")
+    assert verify_optimality(g, (2, 1, 2), 2).status == "confirmed"
+    # above the floor the size below is refuted by search, and no reason is given
+    g = torus_cordalis(3, 4)
+    check = verify_optimality(g, constant_threshold(g, 3), 6)
+    assert check.status == "refuted" and len(check.witness) == 5
+
+
+def test_regular_graphs_with_k_at_degree_reach_the_optimum():
+    # the lemma without its +1 on these instances
+    for g, k, optimum in ((generalized_petersen(8, 3), 3, 8), (cycle(4), 2, 2),
+                          (build_graph(1, []), 1, 1), (build_graph(2, [(0, 1)]), 1, 1)):
+        result = exact_min_seed(g, constant_threshold(g, k))
+        assert (result.status, result.optimum) == ("optimal", optimum)
+    assert exact_min_seed(cycle(4), constant_threshold(cycle(4), 2)).witness == {0, 2}
 
 
 def test_zero_threshold_optimum_is_zero():
@@ -230,14 +263,38 @@ def test_search_order_pinned_on_petersen(m, s, nodes, witness):
     assert (result.nodes_explored, result.witness) == (nodes, frozenset(witness))
 
 
+def _rotates(g, theta):
+    """Constant thresholds, and v -> v+1 (mod N) maps the edge set onto itself."""
+    n = g.vertex_count
+    edges = {frozenset(e) for e in g.edges}
+    rotated = {frozenset(((u + 1) % n, (v + 1) % n)) for u, v in edges}
+    return len(set(theta)) == 1 and rotated == edges
+
+
+def _floor(g, theta):
+    """The forced-vertex count, raised under a constant threshold k >= 1 to
+    the degree-counting bound ceil((|E| - (Delta-k)|V| + 1)/k), whose +1 is
+    dropped on a Delta-regular graph with k >= Delta."""
+    degrees = [g.degree(v) for v in g.vertices()]
+    floor = sum(t > d for t, d in zip(theta, degrees))
+    k, delta = theta[0], max(degrees)
+    if len(set(theta)) == 1 and k >= 1:
+        plus = 0 if len(set(degrees)) == 1 and k >= delta else 1
+        lemma = -(-(len(g.edges) - (delta - k) * g.vertex_count + plus) // k)
+        floor = max(floor, lemma)
+    return floor
+
+
 def _naive_search(g, theta, sizes):
     """(witness, candidates visited) of a plain lexicographic enumeration over
-    `sizes`, counting every candidate up to and including the witness."""
+    `sizes`, counting every candidate up to and including the witness. On a
+    rotation-invariant instance only candidates with vertex 0 are counted."""
     forced = {v for v in g.vertices() if theta[v] > g.degree(v)}
+    anchored = _rotates(g, theta)
     visited = 0
     for k in sizes:
         for combo in combinations(range(g.vertex_count), k):
-            if not forced <= set(combo):
+            if not forced <= set(combo) or anchored and k and 0 not in combo:
                 continue
             visited += 1
             if len(naive_closure(g, theta, combo)) == g.vertex_count:
@@ -247,16 +304,65 @@ def _naive_search(g, theta, sizes):
 
 def test_nodes_explored_matches_naive_enumeration():
     rng = random.Random(46)
+    instances = []
     for trial in range(60):
         g = random_connected_graph(rng, 9)
         theta = random_thresholds(rng, g) if trial % 2 else constant_threshold(g, rng.randint(1, 3))
-        floor = sum(theta[v] > g.degree(v) for v in g.vertices())
-        if len(set(theta)) == 1 and theta[0] >= 1:
-            floor = max(floor, lower_bound_lemma(g, theta[0]))
+        instances.append((g, theta))
+    # circulant labellings, where vertex 0 is anchored, and two that are not
+    small = [cycle(n) for n in range(3, 10)]
+    small += [torus_cordalis(3, 3), torus_cordalis(3, 4), torus_cordalis(4, 3)]
+    small += [generalized_petersen(5, 2), toroidal_mesh(3, 3)]
+    instances += [(g, constant_threshold(g, k)) for g in small for k in (1, 2, 3)]
+    assert sum(_rotates(g, theta) for g, theta in instances) >= 30
+    for g, theta in instances:
+        floor = _floor(g, theta)
         result = exact_min_seed(g, theta)
         witness, visited = _naive_search(g, theta, range(floor, g.vertex_count + 1))
         assert (result.witness, result.nodes_explored) == (witness, visited)
         check = verify_optimality(g, theta, result.optimum)
-        sizes = range(max(result.optimum - 1, 0), result.optimum + 1)
+        sizes = range(max(result.optimum - 1, floor), result.optimum + 1)
         witness, visited = _naive_search(g, theta, sizes)
         assert (check.witness, check.nodes_explored) == (witness, visited)
+
+
+def _circulants(max_n):
+    """Every connected circulant C_n(S) on at most max_n vertices: vertex v is
+    joined to v +- j (mod n) for each jump j in S."""
+    for n in range(1, max_n + 1):
+        jumps = range(1, n // 2 + 1)
+        for r in range(len(jumps) + 1):
+            for s in combinations(jumps, r):
+                if math.gcd(n, *s) == 1:
+                    yield build_graph(n, {(v, (v + j) % n) for v in range(n) for j in s})
+
+
+def _lex_first(g, k, sizes):
+    """First influencing set over `sizes` in `itertools.combinations` order."""
+    pairs = [(mask, 1 << v) for v, mask in enumerate(g.neighbor_masks)]
+    full = (1 << g.vertex_count) - 1
+    for size in sizes:
+        for combo in combinations([bit for _, bit in pairs], size):
+            active, before = sum(combo), -1
+            while active != before:
+                before = active
+                for mask, bit in pairs:
+                    if (mask & before).bit_count() >= k:
+                        active |= bit
+            if active == full:
+                return frozenset(bit.bit_length() - 1 for bit in combo)
+    return None
+
+
+def test_circulant_anchor_keeps_the_lex_first_witness():
+    # No influencing set of size optimum-1 means none smaller either (a
+    # superset of an influencing set influences), so searching that size and
+    # the optimum gives the plain lexicographic search's answer.
+    count = 0
+    for g in _circulants(12):
+        for k in range(1, g.degree(0) + 2):
+            result = exact_min_seed(g, constant_threshold(g, k))
+            sizes = range(max(result.optimum - 1, 0), result.optimum + 1)
+            assert result.witness == _lex_first(g, k, sizes), (g.edges, k)
+            count += 1
+    assert count == 949
