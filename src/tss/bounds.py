@@ -45,7 +45,7 @@ def lower_bound_lemma(g: Graph, k: int) -> int:
     degrees = [len(a) for a in g.adjacency]
     delta = max(degrees)
     slack = k < delta or min(degrees) < delta
-    num = len(g.edges) - (delta - k) * g.vertex_count + slack
+    num = sum(degrees) // 2 - (delta - k) * g.vertex_count + slack
     return max(0, _ceil_div(num, k))
 
 

@@ -394,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_flags(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("exact", help="exact minimum seed on a small instance")
+    p = sub.add_parser(
+        "exact", help="exact minimum seed on a small instance",
+        description="Status optimal (exit 0), or exit 1 with above_max_size (no seed of "
+        "size <= --max-size exists) or budget_exceeded (--time-budget ran out).")
     _add_graph_source(p)
     _add_threshold_flags(p)
     _add_limit_flags(p)

@@ -3,10 +3,10 @@
 Vertex ids are 0-based and contiguous; the 1-based coordinates used in the
 display labels ("v3", "u1", "(2,5)") exist only in each graph's label map.
 
-The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and are built
-from closed-form neighbour tuples instead of through `build_graph`: the torus
-cordalis is the circulant C_mn(1, n), and the mesh and the serpentinus differ
-from it only at the row ends and in the first and last rows respectively.
+The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and pass
+closed-form neighbour tuples straight to `Graph`, with no edge list: the
+torus cordalis is the circulant C_mn(1, n), and the mesh and the serpentinus
+differ from it only at the row ends and in the first and last rows.
 Their label map is a `TorusLabels`, which formats "(i,j)" from the id on
 lookup; the other families keep a plain dict.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Sequence
 
 from .errors import BadParam, BadPermutation, NonSimpleResult
-from .graph import Graph, _graph_from_neighbours, build_graph, check_vertex_count
+from .graph import Graph, build_graph, check_vertex_count
 
 
 def identity_permutation(n: int) -> tuple[int, ...]:
@@ -133,7 +133,7 @@ def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
     N = m * n
     for k in (*range(n), *range(N - n, N)):
         nbrs[k] = tuple(sorted(v % N for v in nbrs[k]))
-    return _graph_from_neighbours(nbrs, TorusLabels(m, n))
+    return Graph(tuple(nbrs), TorusLabels(m, n))
 
 
 def toroidal_mesh(m: int, n: int) -> Graph:

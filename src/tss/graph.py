@@ -1,5 +1,9 @@
 """Immutable undirected simple graphs with 0-based contiguous vertex ids.
 
+A graph is stored as its sorted neighbour tuples; the canonical edge list
+is read off them only when `edges` is asked for (by the JSON and DOT
+writers). `build_graph` validates an edge list in one pass.
+
 Display labels (e.g. "v3" or "(2,5)") live in an optional label map; every
 algorithm in this package works on the integer ids only.
 """
@@ -23,25 +27,32 @@ MAX_VERTICES = 10_000_000
 
 @dataclass(frozen=True)
 class Graph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]  # canonical (min,max) pairs, sorted, deduplicated
+    """Vertex v is adjacent to `neighbours[v]`, given sorted, repeat-free, loop-free,
+    in range and symmetric (unchecked). Equal tuples mean equal vertex count
+    and edge set; labels are ignored."""
+
+    # `neighbours` only feeds the constructor; read the tuples as `adjacency`.
+    # It and `neighbor_masks` stay cached properties because
+    # perfbench/tracing.py times them through their `.func`.
+    neighbours: tuple[tuple[int, ...], ...]
     labels: Mapping[int, str] | None = field(default=None, compare=False)
+    vertex_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertex_count", len(self.neighbours))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return self.neighbours
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return tuple([sum(1 << w for w in a) for a in self.adjacency])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Canonical (min, max) pairs in ascending order."""
+        return tuple([(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v])
 
     @property
     def full_mask(self) -> int:
@@ -72,21 +83,24 @@ def build_graph(
     edge_list: Iterable[tuple[int, int]],
     labels: Mapping[int, str] | None = None,
 ) -> Graph:
-    """Validate and canonicalize an edge list into a Graph.
+    """Validate an edge list and build its Graph in one pass.
 
-    Edges are deduplicated as unordered pairs; self-loops and out-of-range
-    endpoints are rejected, as is a label map that is not a bijection.
+    Endpoints must be of type int (not bool), in range and distinct;
+    repeated and reversed pairs name one edge. Labels must be a bijection.
     """
     if vertex_count < 0:
         raise BadParam("vertex_count must be non-negative")
-    canon = set()
+    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edge_list:
+        if type(u) is not int or type(v) is not int:
+            _wrong_type("edge endpoint", [u, v])
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}")
-        for w in (u, v):
-            if not 0 <= w < vertex_count:
-                raise VertexOutOfRange(f"vertex {w} not in 0..{vertex_count - 1}")
-        canon.add((u, v) if u < v else (v, u))
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            w = v if 0 <= u < vertex_count else u
+            raise VertexOutOfRange(f"vertex {w} not in 0..{vertex_count - 1}")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     label_map: dict[int, str] | None = None
     if labels is not None:
         label_map = dict(labels)
@@ -97,23 +111,7 @@ def build_graph(
             raise DuplicateLabel("label map must cover every vertex exactly once")
         if len(set(label_map.values())) != vertex_count:
             raise DuplicateLabel("label values must be distinct")
-    return Graph(vertex_count, tuple(sorted(canon)), label_map)
-
-
-def _graph_from_neighbours(nbrs: list[tuple[int, ...]], labels: Mapping[int, str]) -> Graph:
-    """Graph whose vertex v has the neighbour tuple nbrs[v].
-
-    Trusts its caller and checks nothing: every tuple must be sorted, free of
-    repeats, loops and out-of-range ids, the relation must be symmetric, and
-    `labels` must be a bijection. The canonical `edges` are read off the
-    tuples (each pair from its lower end), and the tuples themselves become
-    the `adjacency` cache.
-    """
-    adjacency = tuple(nbrs)
-    edges = tuple([(u, v) for u, a in enumerate(adjacency) for v in a if u < v])
-    g = Graph(len(adjacency), edges, labels)
-    g.__dict__["adjacency"] = adjacency
-    return g
+    return Graph(tuple([tuple(sorted(set(a))) for a in nbrs]), label_map)
 
 
 def is_connected(g: Graph) -> bool:
@@ -147,7 +145,7 @@ def graph_to_json(g: Graph, thresholds: Iterable[int] | None = None) -> str:
 
 
 def _wrong_type(what: str, value: object, kind: str = "an integer") -> NoReturn:
-    raise BadParam(f"{what} must be {kind}, got {json.dumps(value)}")
+    raise BadParam(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
 
 
 def int_list(values: Iterable, what: str) -> list[int]:
@@ -169,10 +167,6 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         if type(n) is not int:
             _wrong_type("n", n)
         check_vertex_count(n, "n")
-        edges = [
-            (u, v) if type(u) is int and type(v) is int else _wrong_type("edge endpoint", [u, v])
-            for u, v in doc["edges"]
-        ]
         labels = None
         if doc.get("labels") is not None:
             labels = {
@@ -183,11 +177,11 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         thresholds = None
         if doc.get("thresholds") is not None:
             thresholds = int_list(doc["thresholds"], "threshold")
+            if len(thresholds) != n:
+                raise BadParam("thresholds array length must equal n")
+        return build_graph(n, doc["edges"], labels), thresholds
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise BadParam(f"malformed graph document: {exc}") from exc
-    if thresholds is not None and len(thresholds) != n:
-        raise BadParam("thresholds array length must equal n")
-    return build_graph(n, edges, labels), thresholds
 
 
 def graph_to_dot(g: Graph, active: Iterable[int] | None = None, name: str = "G") -> str:

@@ -49,7 +49,7 @@ class SolveResult:
     optimum: int | None
     witness: frozenset[int] | None
     nodes_explored: int
-    status: str  # "optimal" | "budget_exceeded"
+    status: str  # "optimal" | "above_max_size" | "budget_exceeded"
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
     forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
     n, masks = g.vertex_count, g.neighbor_masks
     circulant = all(t == th[0] for t in th) and all(
-        masks[(u + 1) % n] >> (v + 1) % n & 1 for u, v in g.edges
+        masks[(u + 1) % n] >> (v + 1) % n & 1 for u, a in enumerate(g.adjacency) for v in a
     )
     return th, forced, circulant
 
@@ -168,7 +168,9 @@ def _search_size(
 def exact_min_seed(
     g: Graph, theta: Sequence[int], limits: SolveLimits = SolveLimits()
 ) -> SolveResult:
-    """Smallest influencing seed, with a deterministic lex-least witness."""
+    """Smallest influencing seed, with a deterministic lex-least witness.
+    Status "above_max_size": the floor or a finished search ruled out every
+    size up to `limits.max_size`; "budget_exceeded": the time budget ran out."""
     th, forced, anchor = _prepare(g, theta, limits)
     deadline = None
     if limits.time_budget_s is not None:
@@ -183,7 +185,7 @@ def exact_min_seed(
             return SolveResult(None, None, counter[0], "budget_exceeded")
         if witness is not None:
             return SolveResult(k, witness, counter[0], "optimal")
-    return SolveResult(None, None, counter[0], "budget_exceeded")
+    return SolveResult(None, None, counter[0], "above_max_size")
 
 
 def verify_optimality(

@@ -5,7 +5,8 @@ sets; it shares no code with the package's counter/bitmask engines, so it can
 serve as an independent reference for small instances. Likewise the torus
 reference lists each family's edges from its coordinate definition and builds
 the graph through `build_graph`, independently of the closed-form neighbour
-tuples in `tss.families`.
+tuples in `tss.families`. `naive_canonical` canonicalises an edge list
+through a set of pairs, as a reference for `build_graph`'s one-pass loader.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def naive_min_seed(g: Graph, theta, must_contain=frozenset()) -> int:
             if len(naive_closure(g, theta, combo)) == n:
                 return k
     raise AssertionError("the full vertex set always influences")
+
+
+def naive_canonical(n: int, edge_list) -> tuple[tuple, tuple]:
+    """(sorted deduplicated (min, max) pairs, sorted neighbour tuples) of a
+    loop-free edge list on 0..n-1, through a set of pairs."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edge_list})
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(pairs), tuple(tuple(sorted(a)) for a in nbrs)
 
 
 def reference_torus(variant: str, m: int, n: int) -> Graph:

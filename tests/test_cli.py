@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -27,6 +28,7 @@ from tss import (
     torus_serpentinus,
 )
 from tss.cli import FAMILIES, main
+from tss.graph import Graph
 
 
 def run(capsys, *argv):
@@ -204,6 +206,53 @@ def test_check_optimal_names_the_floor(capsys):
     assert code == 1 and (doc["status"], doc["nodes_explored"]) == ("inconclusive", 0)
 
 
+def test_exact_reports_above_max_size(capsys):
+    # the lemma floor 4 rules out every seed of size <= 3 before any search
+    code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
+                       "--k", "3", "--max-size", "3")
+    assert code == 1
+    assert json.loads(out) == {"optimum": None, "witness": None, "nodes_explored": 0,
+                               "status": "above_max_size"}
+
+
+def test_edges_only_computed_for_the_writers(capsys, monkeypatch):
+    """Every command but the writers, and seed_torus_cordalis, read only the
+    neighbour tuples; `Graph.edges` is built for the JSON and DOT output."""
+    torus_doc = graph_to_json(torus_cordalis(9, 7), [3] * 63)
+    gpg_doc = graph_to_json(generalized_petersen(8, 3))
+    calls = []
+    edges = Graph.__dict__["edges"]
+
+    def counting(self):
+        calls.append(self.vertex_count)
+        return edges.func(self)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(Graph, "edges")
+    monkeypatch.setattr(Graph, "edges", counted)
+    for m in range(3, 16):
+        for n in range(2, 16):
+            seed_torus_cordalis(m, n)
+    for doc, argv in (
+        (torus_doc, ("simulate", "--graph", "-", "--seed", "0,1,2,3,4,5,6,7,8,9")),
+        (torus_doc, ("verify", "--graph", "-", "--seed", "0,1,2", "--sequence", "3,4")),
+        (gpg_doc, ("bounds", "--graph", "-", "--k", "2")),
+        (gpg_doc, ("exact", "--graph", "-", "--k", "2")),
+        (gpg_doc, ("check-optimal", "--graph", "-", "--k", "2", "--claimed", "5")),
+        (None, ("seed", "--family", "cordalis", "--m", "12", "--n", "14", "--include-sequence")),
+        (None, ("seed", "--family", "gpg", "--m", "10", "--s", "4", "--include-sequence")),
+        (None, ("seed", "--family", "cp", "--n", "5", "--pi", "1,3,5,2,4")),
+        (None, ("table", "--m-max", "9", "--n-max", "9")),
+    ):
+        if doc is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", (argv, err)
+    assert calls == []
+    run(capsys, "gen", "--family", "cordalis", "--m", "4", "--n", "3")
+    assert calls == [12]
+
+
 def test_graph_and_family_together_exit_2(capsys, tmp_path):
     gpath = tmp_path / "c4.json"
     gpath.write_text(graph_to_json(cycle(4)))
@@ -321,7 +370,7 @@ def test_negative_solver_limits_exit_2(capsys):
     # zero limits are valid
     code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
                        "--k", "3", "--max-size", "0")
-    assert code == 1 and json.loads(out)["status"] == "budget_exceeded"
+    assert code == 1 and json.loads(out)["status"] == "above_max_size"
     code, out, _ = run(capsys, "exact", "--family", "cordalis", "--m", "3", "--n", "3",
                        "--k", "3", "--time-budget", "0")
     assert code == 0 and json.loads(out)["optimum"] == 4

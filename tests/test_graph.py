@@ -1,8 +1,13 @@
+import functools
+import json
 import random
 import tracemalloc
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tss import (
     BadParam,
@@ -11,15 +16,19 @@ from tss import (
     VertexOutOfRange,
     build_graph,
     cycle,
+    cycle_permutation,
     generalized_petersen,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     is_connected,
+    path,
+    toroidal_mesh,
     torus_cordalis,
+    torus_serpentinus,
 )
-from tss.graph import MAX_VERTICES, Graph
-from helpers import random_connected_graph
+from tss.graph import GRAPH_FORMAT, MAX_VERTICES, Graph
+from helpers import naive_canonical, random_connected_graph
 
 
 def test_triangle():
@@ -181,7 +190,97 @@ def test_label_of_looks_a_label_up_once():
             return len(self.labels)
 
     labels = CountingLabels({0: "a", 1: "b"})
-    g = Graph(2, ((0, 1),), labels)
+    g = Graph(((1,), (0,)), labels)
     assert [g.label_of(v) for v in (0, 1, 2)] == ["a", "b", "2"]
     assert labels.lookups == 3
     assert build_graph(3, [(0, 1)]).label_of(2) == "2"
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edge list with repeated and reversed pairs, labels or None); ids
+    up to n + 3 are never named, so some vertices are isolated."""
+    n = draw(st.integers(0, 12))
+    edges = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=25))
+        if edges:
+            again = draw(st.lists(st.sampled_from(edges), max_size=10))
+            edges += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+    n += draw(st.integers(0, 3))
+    labels = None
+    if draw(st.booleans()):
+        labels = {v: f"L{p}" for v, p in enumerate(draw(st.permutations(range(n))))}
+    return n, draw(st.permutations(edges)), labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_edge_lists())
+def test_loader_matches_naive_canonicalisation(case):
+    n, edge_list, labels = case
+    pairs, nbrs = naive_canonical(n, edge_list)
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    doc = {"format": GRAPH_FORMAT, "n": n, "edges": [list(e) for e in edge_list]}
+    if labels is not None:
+        doc["labels"] = {str(v): lab for v, lab in labels.items()}
+    canonical = build_graph(n, pairs)
+    repeats = build_graph(n, sorted([*pairs, *pairs[::2]]), labels)  # sorted, with repeats
+    for g in (build_graph(n, edge_list, labels), graph_from_json(json.dumps(doc))[0], repeats):
+        assert g.vertex_count == n
+        assert g.adjacency == nbrs
+        assert g.edges == pairs
+        assert g.neighbor_masks == tuple(masks)
+        assert g.labels == labels
+        assert g == canonical and hash(g) == hash(canonical)
+        assert g != build_graph(n + 1, pairs)
+        if n >= 2 and len(pairs) < n * (n - 1) // 2:
+            missing = next((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs)
+            assert g != build_graph(n, [*pairs, missing])
+
+
+@pytest.mark.parametrize(
+    "edge, build_error, json_error",
+    [
+        ([1, 1], SelfLoop, SelfLoop),
+        ([-1, 0], VertexOutOfRange, VertexOutOfRange),
+        ([0, 3], VertexOutOfRange, VertexOutOfRange),
+        ([True, 1], BadParam, BadParam),
+        ([1.5, 1], BadParam, BadParam),
+        (["3", 1], BadParam, BadParam),
+        ([0, 1, 2], ValueError, BadParam),  # unpacking a non-pair fails in Python
+    ],
+)
+def test_each_bad_edge_rejected_by_both_loaders(edge, build_error, json_error):
+    edges = [[0, 1], edge, [1, 2]]
+    with pytest.raises(build_error):
+        build_graph(3, [tuple(e) for e in edges])
+    with pytest.raises(json_error):
+        graph_from_json(json.dumps({"format": GRAPH_FORMAT, "n": 3, "edges": edges}))
+
+
+def test_build_graph_rejects_endpoints_that_are_not_json_values():
+    with pytest.raises(BadParam, match=r"got \[0, \"Fraction\(1, 1\)\"\]"):
+        build_graph(2, [(0, Fraction(1))])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(5), cycle(6), cycle_permutation(5, (2, 0, 4, 1, 3)), generalized_petersen(7, 2),
+     toroidal_mesh(4, 5), torus_cordalis(4, 5), torus_serpentinus(4, 5)],
+    ids=["path", "cycle", "cp", "gpg", "mesh", "cordalis", "serpentinus"],
+)
+def test_json_round_trip_every_family(g):
+    back, _ = graph_from_json(graph_to_json(g))
+    assert back == g and hash(back) == hash(g)
+    assert back.adjacency == g.adjacency and dict(back.labels) == dict(g.labels)
+
+
+def test_adjacency_and_masks_stay_cached_properties():
+    # perfbench/tracing.py times these two by wrapping their `.func` in a new
+    # cached_property; a plain attribute or property would break traced runs.
+    for name in ("adjacency", "neighbor_masks"):
+        assert isinstance(Graph.__dict__[name], functools.cached_property)

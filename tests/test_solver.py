@@ -140,7 +140,19 @@ def test_time_budget_returns_partial_status():
 def test_max_size_limits_search():
     g = generalized_petersen(5, 2)
     result = exact_min_seed(g, constant_threshold(g, 2), SolveLimits(max_size=2))
-    assert result.status == "budget_exceeded"
+    assert result.status == "above_max_size"
+
+
+def test_max_size_below_optimum_is_not_a_timeout():
+    # 3x3 cordalis at k=3: the floor 4 rules out every size <= 3 without a node
+    g = torus_cordalis(3, 3)
+    result = exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=3))
+    assert (result.status, result.optimum, result.nodes_explored) == ("above_max_size", None, 0)
+    # 4x5 cordalis at k=3: the optimum is 8, so a finished search of sizes up to 7 fails
+    g = torus_cordalis(4, 5)
+    result = exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=7))
+    assert result.status == "above_max_size" and result.nodes_explored > 0
+    assert exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=8)).optimum == 8
 
 
 def test_verify_optimality_triangle():
