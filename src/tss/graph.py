@@ -90,7 +90,9 @@ def build_graph(
     """
     if vertex_count < 0:
         raise BadParam("vertex_count must be non-negative")
-    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+    # A vertex's list is made at its first edge, so a sparse document costs
+    # one pointer per vertex, not one list.
+    nbrs: list[list[int] | None] = [None] * vertex_count
     for u, v in edge_list:
         if type(u) is not int or type(v) is not int:
             _wrong_type("edge endpoint", [u, v])
@@ -99,8 +101,16 @@ def build_graph(
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             w = v if 0 <= u < vertex_count else u
             raise VertexOutOfRange(f"vertex {w} not in 0..{vertex_count - 1}")
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+        a = nbrs[u]
+        if a is None:
+            nbrs[u] = [v]
+        else:
+            a.append(v)
+        a = nbrs[v]
+        if a is None:
+            nbrs[v] = [u]
+        else:
+            a.append(u)
     label_map: dict[int, str] | None = None
     if labels is not None:
         label_map = dict(labels)
@@ -111,7 +121,7 @@ def build_graph(
             raise DuplicateLabel("label map must cover every vertex exactly once")
         if len(set(label_map.values())) != vertex_count:
             raise DuplicateLabel("label values must be distinct")
-    return Graph(tuple([tuple(sorted(set(a))) for a in nbrs]), label_map)
+    return Graph(tuple([tuple(sorted(set(a))) if a else () for a in nbrs]), label_map)
 
 
 def is_connected(g: Graph) -> bool:

@@ -7,13 +7,21 @@ lexicographic order. A tree node keeps the closed active set of its prefix,
 so adding one vertex only cascades from that vertex: just the neighbours of
 newly active vertices are re-tested.
 
-Two proofs cut the work without changing any witness. No size below a proven
-floor (the forced vertices, or `lower_bound_lemma` under a constant
-threshold) is searched. On a circulant labelling, where the thresholds are
-constant and v -> v+1 (mod N) maps every edge to an edge, a rotation carries
-any influencing seed to one that contains vertex 0, so the lexicographically
-first influencing seed of each size k >= 1 contains 0 and only candidates
-with 0 are walked.
+Three proofs cut the work without changing any witness. No size below a
+proven floor (the forced vertices, or `lower_bound_lemma` under a constant
+threshold) is searched. Under constant thresholds, when some divisor d of N
+makes both v -> v - v%d + (v+1)%d (a step within each block of d ids) and
+v -> v+d (mod N) map every edge to an edge, the two translations reach every
+vertex from 0 and carry any influencing seed to one that contains vertex 0,
+so the lexicographically first influencing seed of each size k >= 1 contains
+0 and only candidates with 0 are walked; d = N is a circulant labelling (the
+torus cordalis) and d = n the row-major m x n mesh. And a tree node whose
+still inactive vertices need more edges among themselves than they have,
+counted after the best remaining picks by the acyclic-orientation argument
+of `lower_bound_lemma` (Ackerman, Ben-Zwi and Wolfovitz, TCS 2010), is cut
+with every candidate below it, none of which influences.
+
+`nodes_explored` counts the candidates (leaves) the walk reaches.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int
 
 
 def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
-    """(thresholds, forced vertices, whether the labelling is a circulant)."""
+    """(thresholds, forced vertices, whether vertex 0 may anchor every candidate)."""
     th = check_thresholds(g, theta)
     if g.vertex_count > limits.max_vertices:
         raise TooLarge(
@@ -92,11 +100,24 @@ def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("solver requires a connected non-empty graph")
     forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
+    return th, forced, all(t == th[0] for t in th) and _translates(g)
+
+
+def _translates(g: Graph) -> bool:
+    """Whether, for some divisor d >= 2 of N, v -> v - v%d + (v+1)%d and
+    v -> v+d (mod N) both map every edge to an edge (d = 1 gives the same
+    pair of maps as d = N)."""
     n, masks = g.vertex_count, g.neighbor_masks
-    circulant = all(t == th[0] for t in th) and all(
-        masks[(u + 1) % n] >> (v + 1) % n & 1 for u, a in enumerate(g.adjacency) for v in a
+
+    def keeps(image: list[int]) -> bool:
+        return all(masks[image[u]] >> image[v] & 1 for u, a in enumerate(g.adjacency) for v in a)
+
+    return any(
+        keeps([v - v % d + (v + 1) % d for v in range(n)])
+        and keeps([(v + d) % n for v in range(n)])
+        for d in range(2, n + 1)
+        if n % d == 0
     )
-    return th, forced, circulant
 
 
 def _floor(g: Graph, th: Sequence[int], forced: Sequence[int]) -> tuple[int, str]:
@@ -123,7 +144,19 @@ def _search_size(
     `anchor` holds and k >= 1) plus k-|fixed| others; merging a fixed sorted
     set into lexicographically ordered combinations preserves the lex order
     of the merged tuples. The walk visits the leaves (candidates) in the
-    order of `itertools.combinations`, and `counter` counts them.
+    order of `itertools.combinations`, skipping those below a cut node.
+    `counter` holds [leaves reached, tree nodes visited]; the deadline is
+    read every 1,024 tree nodes, inner nodes and leaves alike.
+
+    A node with closed active set A, inactive set U = V - A and `todo`
+    picks left from the eligible vertices L = U & rest[start:] is cut when
+    no choice of picks can influence. Each w in U needs r(w) = th[w] -
+    |N(w) & A| >= 1 more active neighbours (A is closed). Orient each edge
+    of G[U] away from its earlier-activated end: every w in U that is not
+    picked has in-degree at least r(w), so influence needs
+    sum_U r - (the todo largest r over L) <= |E(G[U])|. `excess` carries
+    2 (sum_U r - |E(G[U])|) = 2 (sum_U th - |E| + |E(G[A])|), the edges
+    between A and U cancelling, and `drop` updates it as A grows.
     """
     fixed = sorted({0, *forced}) if anchor and k else forced
     if k < len(fixed):
@@ -136,20 +169,38 @@ def _search_size(
     rest = [v for v in g.vertices() if not (fixed_mask >> v) & 1]
     picks: list[int] = []  # the witness's non-fixed vertices, deepest first
 
-    def tick() -> None:
-        counter[0] += 1
-        if deadline is not None and counter[0] % 1024 == 0 and time.monotonic() > deadline:
+    def tick(leaf: int) -> None:
+        counter[0] += leaf
+        counter[1] += 1
+        if deadline is not None and counter[1] % 1024 == 0 and time.monotonic() > deadline:
             raise TimeoutError
 
-    def walk(active: int, start: int, todo: int) -> bool:
+    def drop(active: int, closed: int) -> int:
+        """How much `excess` falls as A grows from `active` to `closed`."""
+        fall = 0
+        newly = closed & ~active
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            w = low.bit_length() - 1
+            fall += 2 * th[w] - (masks[w] & active).bit_count() - (masks[w] & closed).bit_count()
+        return fall
+
+    def walk(active: int, start: int, todo: int, excess: int) -> bool:
+        tick(0)
+        needs = [th[w] - (masks[w] & active).bit_count()
+                 for w in rest[start:] if not active >> w & 1]
+        needs.sort(reverse=True)
+        if excess > 2 * sum(needs[:todo]):
+            return False
         for i in range(start, len(rest) - todo + 1):
             v = rest[i]
             grown = active | 1 << v
             closed = _cascade(masks, th, grown, masks[v] & ~grown)
             if todo > 1:
-                found = walk(closed, i + 1, todo - 1)
+                found = walk(closed, i + 1, todo - 1, excess - drop(active, closed))
             else:
-                tick()
+                tick(1)
                 found = closed == full
             if found:
                 picks.append(v)
@@ -158,10 +209,11 @@ def _search_size(
 
     base = _cascade(masks, th, fixed_mask, full & ~fixed_mask)
     if k == len(fixed):
-        tick()
+        tick(1)
         found = base == full
     else:
-        found = walk(base, 0, k - len(fixed))
+        excess = 2 * sum(th) - sum(map(len, g.adjacency)) - drop(0, base)
+        found = walk(base, 0, k - len(fixed), excess)
     return frozenset(fixed) | frozenset(picks) if found else None
 
 
@@ -177,7 +229,7 @@ def exact_min_seed(
         deadline = time.monotonic() + limits.time_budget_s
     floor, _ = _floor(g, th, forced)
     top = g.vertex_count if limits.max_size is None else min(limits.max_size, g.vertex_count)
-    counter = [0]
+    counter = [0, 0]
     for k in range(floor, top + 1):
         try:
             witness = _search_size(g, th, forced, anchor, k, deadline, counter)
@@ -213,7 +265,7 @@ def verify_optimality(
     deadline = None
     if limits.time_budget_s is not None:
         deadline = time.monotonic() + limits.time_budget_s
-    counter = [0]
+    counter = [0, 0]
     reason = None
     try:
         if claimed > floor:

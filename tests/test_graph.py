@@ -153,6 +153,21 @@ def test_json_vertex_cap_rejects_before_allocating():
     assert g.vertex_count == 1000
 
 
+def test_sparse_document_makes_no_list_per_vertex():
+    # an isolated vertex gets the shared empty tuple: the peak is about 24
+    # bytes a vertex, where one empty list each cost about 80
+    n = 1_000_000
+    doc = json.dumps({"format": GRAPH_FORMAT, "n": n, "edges": [[0, 1], [n - 2, n - 1]]})
+    tracemalloc.start()
+    try:
+        g, _ = graph_from_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n
+    assert (g.adjacency[0], g.adjacency[n - 1], g.adjacency[2]) == ((1,), (n - 2,), ())
+
+
 @pytest.mark.parametrize("bad", ["true", "1.7", '"3"', "3.0"])
 def test_json_rejects_non_integer_numbers(bad):
     docs = [

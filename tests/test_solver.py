@@ -21,6 +21,7 @@ from tss import (
     toroidal_mesh,
     torus_cordalis,
     torus_serpentinus,
+    tss_lower_bound_torus,
     verify_optimality,
 )
 from helpers import naive_closure, naive_min_seed, random_connected_graph, random_thresholds
@@ -175,8 +176,8 @@ def test_verify_optimality_examples():
 
 
 def test_verify_optimality_budget_inconclusive():
-    # the refutation of 7 (the lemma floor) walks far past the first 1,024
-    # leaves, where the deadline is first read
+    # the refutation of 7 (the lemma floor) visits 2,735 tree nodes, past the
+    # first 1,024, where the deadline is first read
     g = torus_cordalis(4, 5)
     check = verify_optimality(g, constant_threshold(g, 3), 8, SolveLimits(time_budget_s=0.0))
     assert check.status == "inconclusive"
@@ -254,9 +255,9 @@ def test_closure_engines_agree():
 @pytest.mark.parametrize(
     "family, m, n, nodes, witness",
     [
-        (torus_cordalis, 3, 7, 10830, {0, 1, 3, 5, 7, 9, 11, 13}),
-        (torus_cordalis, 7, 3, 11326, {0, 1, 3, 5, 9, 11, 15, 17}),
-        (torus_serpentinus, 4, 5, 11355, {0, 2, 4, 8, 11, 14, 17}),
+        (torus_cordalis, 3, 7, 393, {0, 1, 3, 5, 7, 9, 11, 13}),
+        (torus_cordalis, 7, 3, 354, {0, 1, 3, 5, 9, 11, 15, 17}),
+        (torus_serpentinus, 4, 5, 181, {0, 2, 4, 8, 11, 14, 17}),
     ],
 )
 def test_search_order_pinned_on_tori(family, m, n, nodes, witness):
@@ -267,7 +268,7 @@ def test_search_order_pinned_on_tori(family, m, n, nodes, witness):
 
 @pytest.mark.parametrize(
     "m, s, nodes, witness",
-    [(11, 3, 5807, {0, 2, 4, 6, 8, 20}), (12, 5, 7118, {0, 1, 3, 5, 7, 9, 22})],
+    [(11, 3, 996, {0, 2, 4, 6, 8, 20}), (12, 5, 1017, {0, 1, 3, 5, 7, 9, 22})],
 )
 def test_search_order_pinned_on_petersen(m, s, nodes, witness):
     g = generalized_petersen(m, s)
@@ -275,12 +276,32 @@ def test_search_order_pinned_on_petersen(m, s, nodes, witness):
     assert (result.nodes_explored, result.witness) == (nodes, frozenset(witness))
 
 
+@pytest.mark.parametrize("m, n, bound, optimum", [(4, 7, 10, 11), (5, 6, 11, 11)])
+def test_search_settles_tori_above_24_vertices(m, n, bound, optimum):
+    # on 4x7 the search, not the floor, proves the optimum one above the bound
+    g = torus_cordalis(m, n)
+    theta = constant_threshold(g, 3)
+    result = exact_min_seed(g, theta, SolveLimits(max_vertices=m * n))
+    assert tss_lower_bound_torus(m, n) == bound
+    assert (result.status, result.optimum) == ("optimal", optimum)
+    assert is_influencing(g, theta, result.witness)
+
+
 def _rotates(g, theta):
-    """Constant thresholds, and v -> v+1 (mod N) maps the edge set onto itself."""
+    """Constant thresholds, and for some divisor d >= 2 of N both the step
+    within each block of d ids, v -> v - v%d + (v+1)%d, and v -> v+d (mod N)
+    map the edge set onto itself (d = 1 repeats d = N)."""
     n = g.vertex_count
     edges = {frozenset(e) for e in g.edges}
-    rotated = {frozenset(((u + 1) % n, (v + 1) % n)) for u, v in edges}
-    return len(set(theta)) == 1 and rotated == edges
+
+    def keeps(f):
+        return {frozenset((f(u), f(v))) for u, v in edges} == edges
+
+    return len(set(theta)) == 1 and any(
+        keeps(lambda v: v - v % d + (v + 1) % d) and keeps(lambda v: (v + d) % n)
+        for d in range(2, n + 1)
+        if n % d == 0
+    )
 
 
 def _floor(g, theta):
@@ -297,19 +318,49 @@ def _floor(g, theta):
     return floor
 
 
+def _hopeless(g, theta, prefix, eligible, todo):
+    """The degree-counting test on the closure A of `prefix` with `todo` picks
+    left from `eligible`: with U = V - A and r(w) = theta(w) - |N(w) & A|,
+    sum_U theta - (|E| - |E(G[A])|) exceeds the sum of the `todo` largest
+    r(w) over the eligible vertices of U."""
+    active = naive_closure(g, theta, prefix)
+    inactive = set(g.vertices()) - active
+    inside = sum(u in active and v in active for u, v in g.edges)
+    need = {w: theta[w] - sum(u == w and v in active or v == w and u in active for u, v in g.edges)
+            for w in inactive}
+    top = sum(sorted((need[w] for w in inactive & set(eligible)), reverse=True)[:todo])
+    return sum(theta[w] for w in inactive) - (len(g.edges) - inside) > top
+
+
 def _naive_search(g, theta, sizes):
     """(witness, candidates visited) of a plain lexicographic enumeration over
-    `sizes`, counting every candidate up to and including the witness. On a
-    rotation-invariant instance only candidates with vertex 0 are counted."""
+    `sizes`; the witness is the first influencing candidate, and every
+    candidate is tested, cut or not. A candidate is the fixed vertices (the
+    forced ones, plus vertex 0 on a translation-invariant instance when
+    k >= 1) and other picks p_1 < ... < p_t. Up to and including the
+    witness, it is counted unless a walk prefix rules it out: `_hopeless`
+    holds, for some j < t, on the fixed vertices with p_1..p_j and t - j
+    picks left from the other vertices after p_j. A cut candidate that
+    influences fails the test."""
     forced = {v for v in g.vertices() if theta[v] > g.degree(v)}
     anchored = _rotates(g, theta)
     visited = 0
     for k in sizes:
+        fixed = forced | {0} if anchored and k else forced
+        free = [v for v in g.vertices() if v not in fixed]
         for combo in combinations(range(g.vertex_count), k):
-            if not forced <= set(combo) or anchored and k and 0 not in combo:
+            if not fixed <= set(combo):
                 continue
-            visited += 1
+            picks = [v for v in combo if v not in fixed]
+            cut = any(
+                _hopeless(g, theta, fixed | set(picks[:j]),
+                          [v for v in free if j == 0 or v > picks[j - 1]], len(picks) - j)
+                for j in range(len(picks))
+            )
+            if not cut:
+                visited += 1
             if len(naive_closure(g, theta, combo)) == g.vertex_count:
+                assert not cut, f"the cut removed the influencing candidate {combo}"
                 return frozenset(combo), visited
     return None, visited
 
@@ -321,10 +372,11 @@ def test_nodes_explored_matches_naive_enumeration():
         g = random_connected_graph(rng, 9)
         theta = random_thresholds(rng, g) if trial % 2 else constant_threshold(g, rng.randint(1, 3))
         instances.append((g, theta))
-    # circulant labellings, where vertex 0 is anchored, and two that are not
+    # translation-invariant labellings, where vertex 0 is anchored (the mesh
+    # 3x4 only by the row step, d = 4), and one that is not
     small = [cycle(n) for n in range(3, 10)]
     small += [torus_cordalis(3, 3), torus_cordalis(3, 4), torus_cordalis(4, 3)]
-    small += [generalized_petersen(5, 2), toroidal_mesh(3, 3)]
+    small += [generalized_petersen(5, 2), toroidal_mesh(3, 3), toroidal_mesh(3, 4)]
     instances += [(g, constant_threshold(g, k)) for g in small for k in (1, 2, 3)]
     assert sum(_rotates(g, theta) for g, theta in instances) >= 30
     for g, theta in instances:
