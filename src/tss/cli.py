@@ -25,7 +25,8 @@ from .activation import (
 from .constructions import formula_value, seed_torus_cordalis
 from .errors import BadParam, TssError
 from .families import identity_permutation, permutation_from_one_based
-from .graph import Graph, check_vertex_count, graph_from_json, graph_to_dot, graph_to_json, int_list
+from .graph import (MAX_VERTICES, Graph, check_vertex_count, graph_from_json, graph_to_dot,
+                    graph_to_json, int_list)
 from .solver import SolveLimits, exact_min_seed, verify_optimality
 from .thresholds import (
     constant_threshold,
@@ -94,12 +95,13 @@ def _one_source(args) -> None:
         raise BadParam("give either --graph or --family, not both")
 
 
-def _load_graph(args) -> tuple[Graph, list[int] | None]:
-    """Graph from --graph (path or '-') or from family flags."""
+def _load_graph(args, max_vertices: int = MAX_VERTICES) -> tuple[Graph, list[int] | None]:
+    """Graph from --graph (path or '-'), refused above `max_vertices` before it
+    is built, or from family flags."""
     _one_source(args)
     if getattr(args, "graph", None):
         text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
-        return graph_from_json(text)
+        return graph_from_json(text, max_vertices)
     if getattr(args, "family", None):
         return _build_family(args), None
     raise TssError("need either --graph or --family")
@@ -271,9 +273,10 @@ def _limits(args) -> SolveLimits:
 
 
 def cmd_exact(args) -> int:
-    g, doc_th = _load_graph(args)
+    limits = _limits(args)
+    g, doc_th = _load_graph(args, limits.max_vertices)
     theta = _thresholds(args, g, doc_th)
-    result = exact_min_seed(g, theta, _limits(args))
+    result = exact_min_seed(g, theta, limits)
     print(
         json.dumps(
             {
@@ -288,9 +291,10 @@ def cmd_exact(args) -> int:
 
 
 def cmd_check_optimal(args) -> int:
-    g, doc_th = _load_graph(args)
+    limits = _limits(args)
+    g, doc_th = _load_graph(args, limits.max_vertices)
     theta = _thresholds(args, g, doc_th)
-    check = verify_optimality(g, theta, args.claimed, _limits(args))
+    check = verify_optimality(g, theta, args.claimed, limits)
     print(
         json.dumps(
             {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NoReturn
 
-from .errors import BadParam, DuplicateLabel, SelfLoop, VertexOutOfRange
+from .errors import BadParam, DuplicateLabel, SelfLoop, TooLarge, VertexOutOfRange
 
 GRAPH_FORMAT = "tss-graph-v1"
 # Largest vertex count a graph document or a family constructor accepts.
@@ -76,6 +76,13 @@ def check_vertex_count(count: int, what: str) -> None:
     quantity that gives `count` in the message."""
     if count > MAX_VERTICES:
         raise BadParam(f"{what} = {count} is above the limit of {MAX_VERTICES} vertices")
+
+
+def check_vertex_limit(count: int, limit: int) -> None:
+    """Refuse a graph on more than a caller's `limit` vertices (the solver's
+    `max_vertices`) with TooLarge."""
+    if count > limit:
+        raise TooLarge(f"{count} vertices exceeds the limit of {limit}")
 
 
 def build_graph(
@@ -164,8 +171,12 @@ def int_list(values: Iterable, what: str) -> list[int]:
     return [x if type(x) is int else _wrong_type(what, x) for x in values]
 
 
-def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
-    """Parse a tss-graph-v1 document; returns the graph and optional thresholds."""
+def graph_from_json(
+    text: str, max_vertices: int = MAX_VERTICES
+) -> tuple[Graph, list[int] | None]:
+    """Parse a tss-graph-v1 document; returns the graph and optional thresholds.
+    A document on more than `max_vertices` vertices is refused before anything
+    is built."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,6 +188,7 @@ def graph_from_json(text: str) -> tuple[Graph, list[int] | None]:
         if type(n) is not int:
             _wrong_type("n", n)
         check_vertex_count(n, "n")
+        check_vertex_limit(n, max_vertices)
         labels = None
         if doc.get("labels") is not None:
             labels = {

@@ -7,7 +7,7 @@ lexicographic order. A tree node keeps the closed active set of its prefix,
 so adding one vertex only cascades from that vertex: just the neighbours of
 newly active vertices are re-tested.
 
-Three proofs cut the work without changing any witness. No size below a
+Five proofs cut the work without changing any witness. No size below a
 proven floor (the forced vertices, or `lower_bound_lemma` under a constant
 threshold) is searched. Under constant thresholds, when some divisor d of N
 makes both v -> v - v%d + (v+1)%d (a step within each block of d ids) and
@@ -19,7 +19,27 @@ torus cordalis) and d = n the row-major m x n mesh. And a tree node whose
 still inactive vertices need more edges among themselves than they have,
 counted after the best remaining picks by the acyclic-orientation argument
 of `lower_bound_lemma` (Ackerman, Ben-Zwi and Wolfovitz, TCS 2010), is cut
-with every candidate below it, none of which influences.
+with every candidate below it, none of which influences. The same test
+stops a node's loop at the first pick whose suffix it rules out: with the
+picks drawn from later and later suffixes the best picks only get worse, so
+every later suffix is ruled out too. And a sibling dominates: let u < v be
+picks at a node with prefix P, where u's subtree held no influencing
+candidate, and let w be in closure(P + u). Every candidate P + v + Y with w
+in {v} + Y is covered by P + u + ({v} + Y - w), which lies in u's subtree
+and whose closure contains the first one's, so neither influences. Such a
+w is banned, without a cascade, as a later sibling of u and as a pick
+anywhere below one.
+
+Two shortcuts look alike but are unsound, since `verify_optimality`
+searches size claimed-1 without knowing that no smaller seed exists, and a
+seed of that size may need redundant picks. A pick that its node's prefix
+already activates is not skipped on that ground: it becomes banned only
+once a sibling has been tried, whose closure contains the node's active
+set. And a node is not cut because fewer inactive vertices than picks are
+left, since redundant picks fill the seed; only the bound cuts, and never
+when it is already met. On the path 0-1-2 with thresholds (2, 0, 0), {0}
+activates every vertex, so the claim 3 is refuted only by a seed of size 2
+whose second pick is already active.
 
 `nodes_explored` counts the candidates (leaves) the walk reaches.
 """
@@ -27,12 +47,13 @@ with every candidate below it, none of which influences.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import lower_bound_lemma
-from .errors import BadParam, TooLarge
-from .graph import Graph, is_connected
+from .errors import BadParam
+from .graph import Graph, check_vertex_limit, is_connected
 from .thresholds import check_thresholds
 
 
@@ -93,10 +114,7 @@ def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int
 def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
     """(thresholds, forced vertices, whether vertex 0 may anchor every candidate)."""
     th = check_thresholds(g, theta)
-    if g.vertex_count > limits.max_vertices:
-        raise TooLarge(
-            f"{g.vertex_count} vertices exceeds the limit of {limits.max_vertices}"
-        )
+    check_vertex_limit(g.vertex_count, limits.max_vertices)
     if g.vertex_count == 0 or not is_connected(g):
         raise BadParam("solver requires a connected non-empty graph")
     forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
@@ -144,7 +162,7 @@ def _search_size(
     `anchor` holds and k >= 1) plus k-|fixed| others; merging a fixed sorted
     set into lexicographically ordered combinations preserves the lex order
     of the merged tuples. The walk visits the leaves (candidates) in the
-    order of `itertools.combinations`, skipping those below a cut node.
+    order of `itertools.combinations`, skipping those that a proof rules out.
     `counter` holds [leaves reached, tree nodes visited]; the deadline is
     read every 1,024 tree nodes, inner nodes and leaves alike.
 
@@ -156,7 +174,11 @@ def _search_size(
     picked has in-degree at least r(w), so influence needs
     sum_U r - (the todo largest r over L) <= |E(G[U])|. `excess` carries
     2 (sum_U r - |E(G[U])|) = 2 (sum_U th - |E| + |E(G[A])|), the edges
-    between A and U cancelling, and `drop` updates it as A grows.
+    between A and U cancelling, and `drop` updates it as A grows. The walk
+    applies the test to L = U & rest[i:] - banned for each first pick
+    rest[i], and loops only up to the last i that it does not rule out.
+    `banned` is the union of the closed sets of every sibling tried so far,
+    at this level and at every level above.
     """
     fixed = sorted({0, *forced}) if anchor and k else forced
     if k < len(fixed):
@@ -186,25 +208,38 @@ def _search_size(
             fall += 2 * th[w] - (masks[w] & active).bit_count() - (masks[w] & closed).bit_count()
         return fall
 
-    def walk(active: int, start: int, todo: int, excess: int) -> bool:
+    def walk(active: int, start: int, todo: int, excess: int, banned: int) -> bool:
         tick(0)
-        needs = [th[w] - (masks[w] & active).bit_count()
-                 for w in rest[start:] if not active >> w & 1]
-        needs.sort(reverse=True)
-        if excess > 2 * sum(needs[:todo]):
-            return False
-        for i in range(start, len(rest) - todo + 1):
+        # Scan back from the end for the last first pick whose suffix can
+        # still meet the bound; `top` holds the todo largest r over the
+        # eligible vertices of rest[stop:] in ascending order, `total` their sum.
+        stop, top, total, skip = len(rest), [], 0, active | banned
+        while excess > 2 * total:
+            if stop == start:
+                return False
+            stop -= 1
+            w = rest[stop]
+            if not skip >> w & 1:
+                r = th[w] - (masks[w] & active).bit_count()
+                insort(top, r)
+                total += r
+                if len(top) > todo:
+                    total -= top.pop(0)
+        for i in range(start, min(stop, len(rest) - todo) + 1):
             v = rest[i]
+            if banned >> v & 1:
+                continue
             grown = active | 1 << v
             closed = _cascade(masks, th, grown, masks[v] & ~grown)
             if todo > 1:
-                found = walk(closed, i + 1, todo - 1, excess - drop(active, closed))
+                found = walk(closed, i + 1, todo - 1, excess - drop(active, closed), banned)
             else:
                 tick(1)
                 found = closed == full
             if found:
                 picks.append(v)
                 return True
+            banned |= closed
         return False
 
     base = _cascade(masks, th, fixed_mask, full & ~fixed_mask)
@@ -213,7 +248,7 @@ def _search_size(
         found = base == full
     else:
         excess = 2 * sum(th) - sum(map(len, g.adjacency)) - drop(0, base)
-        found = walk(base, 0, k - len(fixed), excess)
+        found = walk(base, 0, k - len(fixed), excess, 0)
     return frozenset(fixed) | frozenset(picks) if found else None
 
 

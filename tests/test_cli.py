@@ -197,7 +197,7 @@ def test_check_optimal_names_the_floor(capsys):
     assert code == 0
     assert json.loads(out) == {"status": "confirmed", "witness": [0, 1, 3, 5],
                                "reason": "size 3 is below the lemma3 lower bound 4",
-                               "nodes_explored": 8}
+                               "nodes_explored": 7}
     code, out, _ = run(
         capsys, "check-optimal", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3",
         "--claimed", "3",
@@ -385,6 +385,22 @@ def test_vertex_cap_exit_2(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "above the limit" in err
+
+
+def test_solver_refuses_an_oversized_document_before_building_it(capsys, tmp_path):
+    # building this graph and its thresholds would take 8 bytes a vertex or more
+    n = 1_000_000
+    doc = tmp_path / "sparse.json"
+    doc.write_text(json.dumps({"format": "tss-graph-v1", "n": n, "edges": [[0, 1], [1, 2]]}))
+    for command in (("exact",), ("check-optimal", "--claimed", "1")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *command, "--graph", str(doc), "--k", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {n} vertices exceeds the limit of 24\n")
+        assert peak < 1 << 20, command
 
 
 # Each family's size flags, listed here independently of the CLI's own table.

@@ -176,7 +176,7 @@ def test_verify_optimality_examples():
 
 
 def test_verify_optimality_budget_inconclusive():
-    # the refutation of 7 (the lemma floor) visits 2,735 tree nodes, past the
+    # the refutation of 7 (the lemma floor) visits 1,648 tree nodes, past the
     # first 1,024, where the deadline is first read
     g = torus_cordalis(4, 5)
     check = verify_optimality(g, constant_threshold(g, 3), 8, SolveLimits(time_budget_s=0.0))
@@ -221,6 +221,28 @@ def test_zero_threshold_optimum_is_zero():
     assert verify_optimality(g, constant_threshold(g, 0), 0).status == "confirmed"
 
 
+def test_claims_above_the_optimum_are_refuted_one_size_smaller():
+    # A seed one below such a claim may need a pick the prefix already
+    # activates, or more picks than inactive vertices are left, so neither
+    # may be skipped on that ground alone. On this path {0} is optimal, and
+    # {0, 1} holds the redundant pick 1.
+    g = path(3)
+    check = verify_optimality(g, (2, 0, 0), 3)
+    assert (check.status, check.witness) == ("refuted", {0, 1})
+    rng = random.Random(47)
+    checks = 0
+    for trial in range(200):
+        g = random_connected_graph(rng, 10)
+        theta = random_thresholds(rng, g) if trial % 2 else constant_threshold(g, rng.randint(1, 3))
+        optimum = exact_min_seed(g, theta).optimum
+        for claimed in range(optimum + 1, min(optimum + 3, g.vertex_count + 1) + 1):
+            check = verify_optimality(g, theta, claimed)
+            assert check.status == "refuted" and len(check.witness) == claimed - 1
+            assert len(naive_closure(g, theta, check.witness)) == g.vertex_count
+            checks += 1
+    assert checks >= 500
+
+
 def _mask(vertices):
     mask = 0
     for v in vertices:
@@ -255,9 +277,9 @@ def test_closure_engines_agree():
 @pytest.mark.parametrize(
     "family, m, n, nodes, witness",
     [
-        (torus_cordalis, 3, 7, 393, {0, 1, 3, 5, 7, 9, 11, 13}),
-        (torus_cordalis, 7, 3, 354, {0, 1, 3, 5, 9, 11, 15, 17}),
-        (torus_serpentinus, 4, 5, 181, {0, 2, 4, 8, 11, 14, 17}),
+        (torus_cordalis, 3, 7, 198, {0, 1, 3, 5, 7, 9, 11, 13}),
+        (torus_cordalis, 7, 3, 150, {0, 1, 3, 5, 9, 11, 15, 17}),
+        (torus_serpentinus, 4, 5, 86, {0, 2, 4, 8, 11, 14, 17}),
     ],
 )
 def test_search_order_pinned_on_tori(family, m, n, nodes, witness):
@@ -268,7 +290,7 @@ def test_search_order_pinned_on_tori(family, m, n, nodes, witness):
 
 @pytest.mark.parametrize(
     "m, s, nodes, witness",
-    [(11, 3, 996, {0, 2, 4, 6, 8, 20}), (12, 5, 1017, {0, 1, 3, 5, 7, 9, 22})],
+    [(11, 3, 499, {0, 2, 4, 6, 8, 20}), (12, 5, 522, {0, 1, 3, 5, 7, 9, 22})],
 )
 def test_search_order_pinned_on_petersen(m, s, nodes, witness):
     g = generalized_petersen(m, s)
@@ -276,9 +298,9 @@ def test_search_order_pinned_on_petersen(m, s, nodes, witness):
     assert (result.nodes_explored, result.witness) == (nodes, frozenset(witness))
 
 
-@pytest.mark.parametrize("m, n, bound, optimum", [(4, 7, 10, 11), (5, 6, 11, 11)])
+@pytest.mark.parametrize("m, n, bound, optimum", [(4, 7, 10, 11), (5, 6, 11, 11), (4, 8, 11, 12)])
 def test_search_settles_tori_above_24_vertices(m, n, bound, optimum):
-    # on 4x7 the search, not the floor, proves the optimum one above the bound
+    # on 4x7 and 4x8 the search, not the floor, proves the optimum one above the bound
     g = torus_cordalis(m, n)
     theta = constant_threshold(g, 3)
     result = exact_min_seed(g, theta, SolveLimits(max_vertices=m * n))
@@ -332,16 +354,37 @@ def _hopeless(g, theta, prefix, eligible, todo):
     return sum(theta[w] for w in inactive) - (len(g.edges) - inside) > top
 
 
+def _reached(g, theta, fixed, free, picks):
+    """Whether the walk reaches the candidate `fixed` + `picks` (p_1 < ... <
+    p_t). At level j the prefix is the fixed vertices with p_1..p_j, and
+    `banned` is the union of the closures of prefix + u over every sibling u
+    tried before, at this level and at every level above. p_(j+1) is cut by
+    the suffix stop when `_hopeless` holds on the prefix with t - j picks
+    left from the vertices from p_(j+1) on that are not banned when the
+    level starts, and it is skipped when it is banned when its turn comes;
+    a sibling u < p_(j+1) after p_j is tried unless it is banned then."""
+    banned = set()
+    for j, p in enumerate(picks):
+        prefix = fixed | set(picks[:j])
+        after = [v for v in free if j == 0 or v > picks[j - 1]]
+        if _hopeless(g, theta, prefix, [v for v in after if v >= p and v not in banned], len(picks) - j):
+            return False
+        for u in after[:after.index(p)]:
+            if u not in banned:
+                banned |= naive_closure(g, theta, prefix | {u})
+        if p in banned:
+            return False
+    return True
+
+
 def _naive_search(g, theta, sizes):
     """(witness, candidates visited) of a plain lexicographic enumeration over
     `sizes`; the witness is the first influencing candidate, and every
-    candidate is tested, cut or not. A candidate is the fixed vertices (the
-    forced ones, plus vertex 0 on a translation-invariant instance when
-    k >= 1) and other picks p_1 < ... < p_t. Up to and including the
-    witness, it is counted unless a walk prefix rules it out: `_hopeless`
-    holds, for some j < t, on the fixed vertices with p_1..p_j and t - j
-    picks left from the other vertices after p_j. A cut candidate that
-    influences fails the test."""
+    candidate is tested, reached or not. A candidate is the fixed vertices
+    (the forced ones, plus vertex 0 on a translation-invariant instance when
+    k >= 1) and other picks. Up to and including the witness, it is counted
+    when `_reached` holds. A candidate that influences but is not reached
+    fails the test."""
     forced = {v for v in g.vertices() if theta[v] > g.degree(v)}
     anchored = _rotates(g, theta)
     visited = 0
@@ -351,16 +394,10 @@ def _naive_search(g, theta, sizes):
         for combo in combinations(range(g.vertex_count), k):
             if not fixed <= set(combo):
                 continue
-            picks = [v for v in combo if v not in fixed]
-            cut = any(
-                _hopeless(g, theta, fixed | set(picks[:j]),
-                          [v for v in free if j == 0 or v > picks[j - 1]], len(picks) - j)
-                for j in range(len(picks))
-            )
-            if not cut:
-                visited += 1
+            reached = _reached(g, theta, fixed, free, [v for v in combo if v not in fixed])
+            visited += reached
             if len(naive_closure(g, theta, combo)) == g.vertex_count:
-                assert not cut, f"the cut removed the influencing candidate {combo}"
+                assert reached, f"the walk skipped the influencing candidate {combo}"
                 return frozenset(combo), visited
     return None, visited
 
