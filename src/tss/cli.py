@@ -9,6 +9,7 @@ code is the only process-level signal: 0 on success/verified/confirmed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ from .activation import (
 from .constructions import formula_value, seed_torus_cordalis
 from .errors import BadParam, TssError
 from .families import identity_permutation, permutation_from_one_based
-from .graph import (MAX_VERTICES, Graph, check_vertex_count, graph_from_json, graph_to_dot,
-                    graph_to_json, int_list)
+from .graph import (MAX_VERTICES, Graph, check_vertex_count, check_vertex_limit, graph_from_json,
+                    graph_to_dot, graph_to_json, int_list)
 from .solver import SolveLimits, exact_min_seed, verify_optimality
 from .thresholds import (
     constant_threshold,
@@ -73,21 +74,37 @@ def _permutation(text: str | None, n: int) -> tuple[int, ...]:
     return permutation_from_one_based(images)
 
 
-def _family_sizes(args) -> list:
-    """The values of the --family's size flags, in FAMILY_TABLE order."""
-    sizes = []
-    for flag in FAMILY_TABLE[args.family][0]:
-        value = getattr(args, flag)
-        if flag == "pi":
-            value = _permutation(value, sizes[0])
-        elif value is None:
+def _vertex_count(family: str, sizes: list) -> int:
+    """Vertices of a --family graph from its size flags: n for path and cycle,
+    2n for cp, 2m for gpg, mn for a torus. A negative size counts as 0, so
+    that the constructor names it."""
+    first = max(sizes[0], 0)
+    if family in ("path", "cycle"):
+        return first
+    if family in ("cp", "gpg"):
+        return 2 * first
+    return first * max(sizes[1], 0)
+
+
+def _family_sizes(args, max_vertices: int = MAX_VERTICES) -> list:
+    """The values of the --family's size flags, in FAMILY_TABLE order. A
+    family on more than `max_vertices` vertices is refused before --pi is
+    read; above MAX_VERTICES the constructor refuses it itself."""
+    flags = FAMILY_TABLE[args.family][0]
+    sizes = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, sizes):
+        if value is None and flag != "pi":
             raise TssError(f"--family {args.family} needs --{flag}")
-        sizes.append(value)
+    count = _vertex_count(args.family, sizes)
+    if count <= MAX_VERTICES:
+        check_vertex_limit(count, max_vertices)
+    if flags[-1] == "pi":
+        sizes[-1] = _permutation(sizes[-1], sizes[0])
     return sizes
 
 
-def _build_family(args) -> Graph:
-    return getattr(families, FAMILY_TABLE[args.family][1])(*_family_sizes(args))
+def _build_family(args, max_vertices: int = MAX_VERTICES) -> Graph:
+    return getattr(families, FAMILY_TABLE[args.family][1])(*_family_sizes(args, max_vertices))
 
 
 def _one_source(args) -> None:
@@ -96,14 +113,14 @@ def _one_source(args) -> None:
 
 
 def _load_graph(args, max_vertices: int = MAX_VERTICES) -> tuple[Graph, list[int] | None]:
-    """Graph from --graph (path or '-'), refused above `max_vertices` before it
-    is built, or from family flags."""
+    """Graph from --graph (path or '-') or from family flags, refused above
+    `max_vertices` before it is built."""
     _one_source(args)
     if getattr(args, "graph", None):
         text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
         return graph_from_json(text, max_vertices)
     if getattr(args, "family", None):
-        return _build_family(args), None
+        return _build_family(args, max_vertices), None
     raise TssError("need either --graph or --family")
 
 
@@ -357,7 +374,12 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `tss` parser, built once per process and shared by every `main`
+    call; callers must not change it. Reuse shows in no output: a parse keeps
+    no state in the parser, and help and usage text get a new formatter, which
+    reads COLUMNS, on each call."""
     parser = argparse.ArgumentParser(
         prog="tss",
         description="Target set selection toolkit: graph generators, theorem seed "

@@ -10,9 +10,10 @@ algorithm in this package works on the integer ids only.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Mapping, NoReturn
 
 from .errors import BadParam, DuplicateLabel, SelfLoop, TooLarge, VertexOutOfRange
@@ -88,12 +89,13 @@ def check_vertex_limit(count: int, limit: int) -> None:
 def build_graph(
     vertex_count: int,
     edge_list: Iterable[tuple[int, int]],
-    labels: Mapping[int, str] | None = None,
+    labels: Mapping[int, str] | Iterable[tuple[int, str]] | None = None,
 ) -> Graph:
     """Validate an edge list and build its Graph in one pass.
 
     Endpoints must be of type int (not bool), in range and distinct;
-    repeated and reversed pairs name one edge. Labels must be a bijection.
+    repeated and reversed pairs name one edge. Labels, a mapping or
+    (vertex, label) pairs, are read into a new dict and must be a bijection.
     """
     if vertex_count < 0:
         raise BadParam("vertex_count must be non-negative")
@@ -148,6 +150,27 @@ def is_connected(g: Graph) -> bool:
     return count == g.vertex_count
 
 
+def _gc_paused(fn):
+    """`fn` run with CPython's cyclic garbage collector paused; the collector's
+    earlier state is restored afterwards, so a caller that had it off keeps it
+    off. Reading or writing a graph document makes tens of thousands of lists
+    and tuples and no reference cycle, so each collection their allocation
+    would set off scans the caller's whole heap and can free nothing."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def graph_to_json(g: Graph, thresholds: Iterable[int] | None = None) -> str:
     doc: dict = {
         "format": GRAPH_FORMAT,
@@ -171,6 +194,30 @@ def int_list(values: Iterable, what: str) -> list[int]:
     return [x if type(x) is int else _wrong_type(what, x) for x in values]
 
 
+def _label_pairs(raw) -> Iterable[tuple[int, str]]:
+    """A document's `labels` object as (vertex, label) pairs.
+
+    Keys are parsed and checked for canonical form, and the labels' types
+    read, in bulk; only when that finds a fault does a pass entry by entry
+    run, to name the first faulty entry.
+    """
+    if type(raw) is dict:
+        try:
+            keys = list(map(int, raw))
+            canonical = list(map(str, keys)) == list(raw)
+        except ValueError:
+            canonical = False
+        if canonical and set(map(type, raw.values())) <= {str}:
+            return zip(keys, raw.values())
+    for k, v in raw.items():
+        if str(int(k)) != k:
+            _wrong_type("label key", k, "a canonical integer")
+        if type(v) is not str:
+            _wrong_type("label", v, "a string")
+    raise AssertionError("labels failed a bulk check that every entry passes")
+
+
+@_gc_paused
 def graph_from_json(
     text: str, max_vertices: int = MAX_VERTICES
 ) -> tuple[Graph, list[int] | None]:
@@ -191,11 +238,7 @@ def graph_from_json(
         check_vertex_limit(n, max_vertices)
         labels = None
         if doc.get("labels") is not None:
-            labels = {
-                i if str(i := int(k)) == k else _wrong_type("label key", k, "a canonical integer"):
-                v if type(v) is str else _wrong_type("label", v, "a string")
-                for k, v in doc["labels"].items()
-            }
+            labels = _label_pairs(doc["labels"])
         thresholds = None
         if doc.get("thresholds") is not None:
             thresholds = int_list(doc["thresholds"], "threshold")

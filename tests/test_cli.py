@@ -27,7 +27,7 @@ from tss import (
     torus_cordalis,
     torus_serpentinus,
 )
-from tss.cli import FAMILIES, main
+from tss.cli import FAMILIES, build_parser, main
 from tss.graph import Graph
 
 
@@ -401,6 +401,60 @@ def test_solver_refuses_an_oversized_document_before_building_it(capsys, tmp_pat
             tracemalloc.stop()
         assert (code, out, err) == (2, "", f"error: {n} vertices exceeds the limit of 24\n")
         assert peak < 1 << 20, command
+
+
+def test_solver_refuses_an_oversized_family_before_building_it(capsys):
+    # building the cordalis 1000x1000 took 230 MB; cp would also build its identity permutation
+    million = (("path", "--n", "1000000"), ("cycle", "--n", "1000000"), ("cp", "--n", "500000"),
+               ("gpg", "--m", "500000", "--s", "1"), ("mesh", "--m", "1000", "--n", "1000"),
+               ("cordalis", "--m", "1000", "--n", "1000"),
+               ("serpentinus", "--m", "1000", "--n", "1000"))
+    for command in (("exact",), ("check-optimal", "--claimed", "1")):
+        for family, *sizes in million:
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, *command, "--family", family, *sizes, "--k", "3")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (code, out, err) == (2, "", "error: 1000000 vertices exceeds the limit of 24\n")
+            assert peak < 1 << 20, (command, family)
+        # negative sizes and sizes above MAX_VERTICES are still named by the constructor
+        code, out, err = run(capsys, *command, "--family", "cordalis", "--m", "-9", "--n", "-9",
+                             "--k", "3")
+        assert (code, err) == (2, "error: torus cordalis needs m >= 3 and n >= 2\n")
+        code, out, err = run(capsys, *command, "--family", "cordalis", "--m", "100000",
+                             "--n", "1000", "--k", "3")
+        assert (code, err) == (2, "error: mn = 100000000 is above the limit of 10000000 vertices\n")
+
+
+def test_parser_reuse_changes_no_output(capsys, monkeypatch):
+    doc = graph_to_json(cycle(5), [2] * 5)
+    commands = (["gen", "--family", "cycle", "--n", "5", "--k", "2"],
+                ["simulate", "--graph", "-", "--seed", "0,2"],
+                ["simulate", "--family", "bogus"],
+                ["simulate", "--graph", "-", "--seed", "0,2,4"],
+                ["--help"],
+                ["simulate", "--help"])
+
+    def outcome(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        return run(capsys, *argv)
+
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 0]
+    build_parser.cache_clear()
+    assert [outcome(argv) for argv in commands] == fresh
+    assert build_parser() is build_parser()
+    # each help text is laid out for the COLUMNS of its own call
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = outcome(["simulate", "--help"])
+    build_parser.cache_clear()
+    assert outcome(["simulate", "--help"]) == narrow != fresh[-1]
 
 
 # Each family's size flags, listed here independently of the CLI's own table.

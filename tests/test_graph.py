@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import random
 import tracemalloc
@@ -137,6 +138,90 @@ def test_json_rejects_garbage():
     ]:
         with pytest.raises(BadParam):
             graph_from_json(doc)
+
+
+LONG_KEY = "1" * 5000  # past int()'s default limit of 4,300 digits
+LABEL_FAULTS = [
+    ('{" 1": "a", "0": "b"}', BadParam, 'label key must be a canonical integer, got " 1"'),
+    ('{"0": "a", "01": "b"}', BadParam, 'label key must be a canonical integer, got "01"'),
+    ('{"-0": "a", "1": "b"}', BadParam, 'label key must be a canonical integer, got "-0"'),
+    ('{"1_0": "a"}', BadParam, 'label key must be a canonical integer, got "1_0"'),
+    ('{"0": "a", "1": 5}', BadParam, "label must be a string, got 5"),
+    ('{"0": null, "1": "b"}', BadParam, "label must be a string, got null"),
+    ('{"0": "a", "1": ["b"]}', BadParam, 'label must be a string, got ["b"]'),
+    # the first faulty entry is named, whatever the later entries hold
+    ('{"0": 5, "x": "b"}', BadParam, "label must be a string, got 5"),
+    ('{"0": 5, "01": "b"}', BadParam, "label must be a string, got 5"),
+    ('{"0": 5, "%s": "b"}' % LONG_KEY, BadParam, "label must be a string, got 5"),
+    ('{"0": "a", "x": "b"}', BadParam,
+     "malformed graph document: invalid literal for int() with base 10: 'x'"),
+    ('{"x": 5}', BadParam, "malformed graph document: invalid literal for int() with base 10: 'x'"),
+    ('{"%s": "a"}' % LONG_KEY, BadParam,
+     "malformed graph document: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ('["a", "b"]', BadParam, "malformed graph document: 'list' object has no attribute 'items'"),
+    ('"ab"', BadParam, "malformed graph document: 'str' object has no attribute 'items'"),
+    ("3", BadParam, "malformed graph document: 'int' object has no attribute 'items'"),
+    ('{"0": "a", "2": "b"}', VertexOutOfRange, "label for unknown vertex 2"),
+    ('{"0": "a", "-1": "b"}', VertexOutOfRange, "label for unknown vertex -1"),
+    ('{"0": "a", "1": "b", "2": "c"}', VertexOutOfRange, "label for unknown vertex 2"),
+    ('{"0": "a", "1": "a"}', DuplicateLabel, "label values must be distinct"),
+    ('{"0": "a"}', DuplicateLabel, "label map must cover every vertex exactly once"),
+    ("{}", DuplicateLabel, "label map must cover every vertex exactly once"),
+]
+
+
+@pytest.mark.parametrize("labels, kind, message", LABEL_FAULTS)
+def test_label_faults_are_named_exactly(labels, kind, message):
+    doc = '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": %s}'
+    with pytest.raises(kind) as exc:
+        graph_from_json(doc % labels)
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
+def test_label_faults_keep_their_place_among_other_faults():
+    # entry types are read before the edges; range and cover after them
+    doc = '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 0]], "labels": %s}'
+    with pytest.raises(BadParam, match="label must be a string, got 5"):
+        graph_from_json(doc % '{"0": 5, "1": "b"}')
+    for labels in ('{"0": "a", "7": "b"}', '{"0": "a"}', '{"0": "a", "1": "a"}'):
+        with pytest.raises(SelfLoop, match="self-loop at vertex 0"):
+            graph_from_json(doc % labels)
+
+
+GOOD_DOC = '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": "a", "1": "b"}}'
+BAD_DOCS = [
+    "not json",
+    '{"format": "tss-graph-v1", "n": 2.5, "edges": []}',
+    '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {"0": 5, "1": "b"}}',
+    '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 2]]}',
+    '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "thresholds": [1]}',
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_json_leaves_the_collector_as_it_found_it(enabled):
+    saved = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert graph_from_json(GOOD_DOC)[0].labels == {0: "a", 1: "b"}
+        assert gc.isenabled() is enabled
+        for doc in BAD_DOCS:
+            with pytest.raises(BadParam):
+                graph_from_json(doc)
+            assert gc.isenabled() is enabled, doc
+        graph_to_json(path(3), [1, 1, 1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if saved else gc.disable)()
+
+
+def test_labels_are_never_aliased():
+    labels = {0: "a", 1: "b"}
+    g = build_graph(2, [(0, 1)], labels)
+    labels[0] = "z"
+    assert g.labels == {0: "a", 1: "b"}
+    assert build_graph(2, [(0, 1)], [(1, "b"), (0, "a")]).labels == {0: "a", 1: "b"}
 
 
 def test_json_vertex_cap_rejects_before_allocating():
