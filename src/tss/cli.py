@@ -124,10 +124,16 @@ def _load_graph(args, max_vertices: int = MAX_VERTICES) -> tuple[Graph, list[int
     raise TssError("need either --graph or --family")
 
 
-def _thresholds(args, g: Graph, doc_thresholds: list[int] | None):
+def _threshold_spec(args) -> str | None:
+    """--threshold, else --k as constant:<k>, else None."""
     spec = getattr(args, "threshold", None)
     if spec is None and getattr(args, "k", None) is not None:
         spec = f"constant:{args.k}"
+    return spec
+
+
+def _thresholds(args, g: Graph, doc_thresholds: list[int] | None):
+    spec = _threshold_spec(args)
     if spec is None:
         if doc_thresholds is not None:
             return doc_thresholds
@@ -247,7 +253,10 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     _one_source(args)
-    if args.family in ("cordalis", "mesh", "serpentinus"):
+    # The strip bounds are for threshold 3, which strict majority and
+    # constant:3 put on every vertex of a (4-regular) torus.
+    strip = _threshold_spec(args) in (None, "constant:3", "strict-majority")
+    if strip and args.family in ("cordalis", "mesh", "serpentinus"):
         m, n = _family_sizes(args)
         report = bounds_mod.torus_bounds(m, n, args.family)
         doc = {
@@ -330,6 +339,8 @@ def _table_rows(args):
     for m in range(args.m_min, args.m_max + 1):
         for n in range(args.n_min, args.n_max + 1):
             if m * n > cap:
+                if m > 0:  # m * n only grows with n
+                    break
                 continue
             try:
                 report = seed_torus_cordalis(m, n)

@@ -10,7 +10,7 @@ round by round, ascending ids within a round, so it is legal by construction.
 
 Case tags: T3 (cycle permutation), T4 (generalized Petersen), T5 (n=3 torus),
 T6a/T6b/T6c (n=3s), T7c1..T7c3 (n=3s+1), T8c1..T8c6 (n=3s+2), T9even/T9odd
-(m=3t), fallback.
+(m=3t), fallback. T7 is the T6 layout, one column right, plus column 1.
 """
 
 from __future__ import annotations
@@ -179,6 +179,7 @@ def _path_positions_k2(p: int) -> list[int]:
 
 def path_seed_k2(p: int) -> frozenset[int]:
     """Minimum seed for the p-path at constant threshold 2 (both ends seeded)."""
+    check_vertex_count(p, "p")
     if p < 2:
         raise BadParam("path seed needs p >= 2")
     return frozenset(t - 1 for t in _path_positions_k2(p))
@@ -247,92 +248,53 @@ def seed_cordalis_n3(m: int) -> SeedReport:
     return _torus_report(m, 3, "T5", EXACT, s1 + s2 + [(1, 3)])
 
 
-def _t6_shared_sets(s: int, inner_top: int) -> list[Coord]:
-    s1 = [
-        c
-        for j in _irange(0, s - 1)
-        for c in (
-            (1, 1 + 3 * j),
-            (2, 2 + 3 * j),
-            (3, 1 + 3 * j),
-            (4, 3 + 3 * j),
-            (5, 2 + 3 * j),
-        )
-    ]
-    s2 = [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, inner_top)
-        for c in ((6 + 2 * i, 3 + 3 * j), (7 + 2 * i, 2 + 3 * j))
-    ]
-    return s1 + s2
+_T6_MIN_M = (8, 5)  # the T6 layout's row rule, by m % 2: even m >= 8, odd m >= 5
+
+
+def _t6_layout(m: int, s: int, shift: int) -> list[Coord]:
+    """The T6 rows on s blocks of three columns, moved `shift` columns right.
+
+    Each block holds five cells in rows 1-5, two in each pair of rows from 6
+    on and, for even m, three in rows m-2..m. Refuses m outside the row rule.
+    """
+    if m < _T6_MIN_M[m % 2]:
+        raise BadParam(f"{('even', 'odd')[m % 2]} case needs m >= {_T6_MIN_M[m % 2]}")
+    bottom = [] if m % 2 else [(m - 2, 1), (m - 1, 3), (m, 2)]
+    block = [(1, 1), (2, 2), (3, 1), (4, 3), (5, 2)]
+    block += [c for i in range(6, m + 1 - len(bottom), 2) for c in ((i, 3), (i + 1, 2))]
+    return [(i, c + shift + 3 * j) for j in range(s) for i, c in block + bottom]
 
 
 def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
-    """Seeds for the m x 3s torus cordalis, s >= 2.
+    """Seeds for the m x 3s torus cordalis, s >= 2: the T6 layout plus (4,1).
 
-    Odd m >= 5 and even m >= 8 with even s give the exact value ms+1; even m
-    with odd s gives ms+2 with a one-away lower bound.
+    Odd m, and even m with even s, give the exact value ms+1; even m with odd
+    s adds (m-1,1) for ms+2, with a one-away lower bound.
     """
     check_vertex_count(3 * m * s, "mn")
     if s < 2:
         raise BadParam("need s >= 2 (use the n=3 builder for s=1)")
-    n = 3 * s
+    seed = _t6_layout(m, s, 0) + [(4, 1)]
     if m % 2 == 1:
-        if m < 5:
-            raise BadParam("odd case needs m >= 5")
-        return _torus_report(m, n, "T6a", EXACT, _t6_shared_sets(s, (m - 7) // 2) + [(4, 1)])
-
-    if m < 8:
-        raise BadParam("even case needs m >= 8")
-    s3 = [
-        c
-        for j in _irange(0, s - 1)
-        for c in ((m - 2, 1 + 3 * j), (m - 1, 3 + 3 * j), (m, 2 + 3 * j))
-    ]
-    seed = _t6_shared_sets(s, (m - 10) // 2) + s3 + [(4, 1)]
+        return _torus_report(m, 3 * s, "T6a", EXACT, seed)
     if s % 2 == 0:
-        return _torus_report(m, n, "T6b", EXACT, seed)
-    return _torus_report(m, n, "T6c", GAP_ONE, seed + [(m - 1, 1)])
+        return _torus_report(m, 3 * s, "T6b", EXACT, seed)
+    return _torus_report(m, 3 * s, "T6c", GAP_ONE, seed + [(m - 1, 1)])
 
 
 def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
-    """Seeds for the m x n torus cordalis with n = 3s+1 (upper bounds)."""
+    """Seeds for the m x n torus cordalis with n = 3s+1 (upper bounds).
+
+    The T6 layout moved one column right, plus column 1 in rows 1, 2 and 4,
+    every even row from 6 below m-2, and row m-1 (row 4 again when m = 5).
+    """
     check_vertex_count(m * n, "mn")
     if n < 4 or n % 3 != 1:
         raise BadParam("need n >= 4 with n = 3s+1")
     s = (n - 1) // 3
-    if m % 2 == 1 and m < 5:
-        raise BadParam("odd case needs m >= 5")
-    if m % 2 == 0 and m < 8:
-        raise BadParam("even case needs m >= 8")
-    s1 = [
-        c
-        for j in _irange(0, s - 1)
-        for c in (
-            (1, 2 + 3 * j), (2, 3 + 3 * j), (3, 2 + 3 * j),
-            (4, 4 + 3 * j), (5, 3 + 3 * j),
-        )
-    ]
-    inner_top = (m - 7) // 2 if m % 2 == 1 else (m - 10) // 2
-    s3 = [
-        c
-        for j in _irange(0, s - 1)
-        for i in _irange(0, inner_top)
-        for c in ((6 + 2 * i, 4 + 3 * j), (7 + 2 * i, 3 + 3 * j))
-    ]
-    corner = [(1, 1), (2, 1), (4, 1)]
+    seed = _t6_layout(m, s, 1) + [(i, 1) for i in {1, 2, 4, *range(6, m - 2, 2), m - 1}]
     if m % 2 == 1:
-        s2 = [(i, 1) for i in range(6, m, 2)]
-        return _torus_report(m, n, "T7c1", UPPER, corner + s1 + s2 + s3)
-
-    s2 = [(i, 1) for i in range(6, m - 3, 2)]
-    s4 = [
-        c
-        for j in _irange(0, s - 1)
-        for c in ((m - 2, 2 + 3 * j), (m - 1, 4 + 3 * j), (m, 3 + 3 * j))
-    ]
-    seed = s1 + s2 + s3 + s4 + corner + [(m - 1, 1)]
+        return _torus_report(m, n, "T7c1", UPPER, seed)
     if s % 2 == 1:
         return _torus_report(m, n, "T7c2", UPPER, seed)
     return _torus_report(m, n, "T7c3", UPPER, seed + [(m - 2, 1)])
@@ -478,10 +440,8 @@ def seed_torus_cordalis(m: int, n: int) -> SeedReport:
         return seed_cordalis_n3(m)
     if m % 3 == 0:
         return seed_cordalis_m0mod3(m, n)
-    if n % 3 == 0 and (m % 2 == 1 and m >= 5 or m % 2 == 0 and m >= 8):
-        return seed_cordalis_n3s(m, n // 3)
-    if n % 3 == 1 and (m % 2 == 1 and m >= 5 or m % 2 == 0 and m >= 8):
-        return seed_cordalis_n1mod3(m, n)
+    if n % 3 < 2 and m >= _T6_MIN_M[m % 2]:
+        return seed_cordalis_n1mod3(m, n) if n % 3 else seed_cordalis_n3s(m, n // 3)
     if n % 3 == 2 and n >= 5 and m >= 10:
         return seed_cordalis_n2mod3(m, n)
     return _fallback_report(m, n)

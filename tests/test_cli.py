@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import signal
 import sys
 import tracemalloc
 
@@ -151,6 +152,25 @@ def test_bounds_torus(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lower"] == 28 and doc["upper"] == 30
+
+
+def test_bounds_torus_strip_bounds_only_at_threshold_3(capsys):
+    strip = ('{"lower": 9, "upper": 12, "lower_source": "flocchini_a", '
+             '"upper_source": "flocchini_a"}\n')
+    torus = ("bounds", "--family", "cordalis", "--m", "5", "--n", "5")
+    for flags in ((), ("--k", "3"), ("--threshold", "constant:3"),
+                  ("--threshold", "strict-majority")):
+        assert run(capsys, *torus, *flags) == (0, strip, "")
+    # one vertex influences everything at threshold 1
+    code, out, _ = run(capsys, *torus, "--k", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["lower"] <= 1 and doc["lower_source"] == "lemma3"
+    # above the degree every vertex must be seeded
+    code, out, _ = run(capsys, "bounds", "--family", "mesh", "--m", "4", "--n", "4", "--k", "9")
+    doc = json.loads(out)
+    assert code == 0 and doc["upper"] == 16 and doc["lower"] <= 16
+    code, _, err = run(capsys, *torus, "--threshold", "bogus")
+    assert code == 2 and "bad threshold spec" in err
 
 
 def test_bounds_graph_with_k(capsys, tmp_path):
@@ -305,6 +325,25 @@ def test_table_respects_cell_cap(capsys):
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert all(int(r.split(",")[1]) <= 10 for r in rows)
+
+
+class _Stuck(Exception):
+    pass
+
+
+def test_table_stops_scanning_n_past_the_cell_cap(capsys):
+    def stuck(signum, frame):
+        raise _Stuck("tss table still scanning n")
+
+    rows = ("table", "--m-min", "1", "--m-max", "5", "--n-min", "-2", "--max-cells", "60")
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        huge = run(capsys, *rows, "--n-max", str(10**15))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert huge == run(capsys, *rows, "--n-max", "300")
 
 
 def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):

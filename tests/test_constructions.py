@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -151,16 +152,20 @@ def test_n3s_golden_values():
     assert report.lower_bound == 85
 
 
+def _exactly(message):
+    return f"^{re.escape(message)}$"
+
+
 def test_n3s_case_dispatch_and_rejects():
     assert seed_cordalis_n3s(5, 2).theorem_case == "T6a"
     assert seed_cordalis_n3s(8, 2).theorem_case == "T6b"
     assert seed_cordalis_n3s(8, 3).theorem_case == "T6c"
-    with pytest.raises(BadParam):
-        seed_cordalis_n3s(9, 1)
-    with pytest.raises(BadParam):
-        seed_cordalis_n3s(3, 2)
-    with pytest.raises(BadParam):
-        seed_cordalis_n3s(6, 2)
+    for args, message in (((9, 1), "need s >= 2 (use the n=3 builder for s=1)"),
+                          ((3, 1), "need s >= 2 (use the n=3 builder for s=1)"),
+                          ((3, 2), "odd case needs m >= 5"),
+                          ((6, 2), "even case needs m >= 8")):
+        with pytest.raises(BadParam, match=_exactly(message)):
+            seed_cordalis_n3s(*args)
 
 
 def test_n1mod3_golden_values():
@@ -170,12 +175,12 @@ def test_n1mod3_golden_values():
 
 
 def test_n1mod3_rejects():
-    with pytest.raises(BadParam):
-        seed_cordalis_n1mod3(9, 12)
-    with pytest.raises(BadParam):
-        seed_cordalis_n1mod3(3, 13)
-    with pytest.raises(BadParam):
-        seed_cordalis_n1mod3(6, 13)
+    for args, message in (((9, 12), "need n >= 4 with n = 3s+1"),
+                          ((3, 12), "need n >= 4 with n = 3s+1"),
+                          ((3, 13), "odd case needs m >= 5"),
+                          ((6, 13), "even case needs m >= 8")):
+        with pytest.raises(BadParam, match=_exactly(message)):
+            seed_cordalis_n1mod3(*args)
 
 
 def test_n2mod3_golden_values():
@@ -394,7 +399,7 @@ def test_per_case_builders_capped_before_allocating():
     try:
         for build, args in ((seed_cordalis_n3, (big,)), (seed_cordalis_n3s, (big + 1, 2)),
                             (seed_cordalis_n1mod3, (big + 1, 4)), (seed_cordalis_n2mod3, (big, 5)),
-                            (seed_cordalis_m0mod3, (3 * big, 2)),
+                            (seed_cordalis_m0mod3, (3 * big, 2)), (path_seed_k2, (big,)),
                             (seed_torus_cordalis, (4, big + 1))):  # the fallback
             with pytest.raises(BadParam, match="above the limit"):
                 build(*args)
