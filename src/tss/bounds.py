@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParam
+from .families import check_torus
 from .graph import Graph, is_connected
 
 
@@ -56,9 +57,9 @@ def cubic_seed_size(p: int) -> int:
 
 
 def tss_lower_bound_torus(m: int, n: int) -> int:
-    """ceil((mn+1)/3): the strict-majority lower bound on any m x n torus."""
-    if m < 3 or n < 2:
-        raise BadParam("torus parameters need m >= 3 and n >= 2")
+    """ceil((mn+1)/3): the strict-majority lower bound on any m x n torus,
+    whose parameters are checked as the torus cordalis's, the widest domain."""
+    check_torus("cordalis", m, n)
     return _ceil_div(m * n + 1, 3)
 
 
@@ -68,26 +69,18 @@ def flocchini_upper(m: int, n: int, variant: str) -> int:
     cordalis: ceil(m/3)(n+1); mesh and serpentinus take the better of the two
     symmetric forms.
     """
+    check_torus(variant, m, n)
     if variant == "cordalis":
-        if m < 3 or n < 2:
-            raise BadParam("torus cordalis needs m >= 3 and n >= 2")
         return _ceil_div(m, 3) * (n + 1)
-    if variant == "mesh":
-        if m < 3 or n < 3:
-            raise BadParam("toroidal mesh needs m >= 3 and n >= 3")
-    elif variant == "serpentinus":
-        if m < 3 or n < 2:
-            raise BadParam("torus serpentinus needs m >= 3 and n >= 2")
-    else:
-        raise BadParam(f"unknown torus variant {variant!r}")
     return min(_ceil_div(m, 3) * (n + 1), _ceil_div(n, 3) * (m + 1))
 
 
 def torus_bounds(m: int, n: int, variant: str) -> BoundsReport:
+    upper = flocchini_upper(m, n, variant)  # checks the variant's domain first
     source = "flocchini_a" if variant == "cordalis" else "flocchini_b"
     return BoundsReport(
         lower=tss_lower_bound_torus(m, n),
-        upper=flocchini_upper(m, n, variant),
+        upper=upper,
         lower_source=source,
         upper_source=source,
     )

@@ -9,6 +9,7 @@ code is the only process-level signal: 0 on success/verified/confirmed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -48,6 +49,7 @@ FAMILY_TABLE = {
     "serpentinus": (("m", "n"), "torus_serpentinus", None),
 }
 FAMILIES = tuple(FAMILY_TABLE)
+TABLE_COLUMNS = ("m", "n", "case", "phi", "size", "lower", "status")
 
 
 def _fail(msg: str) -> int:
@@ -68,7 +70,7 @@ def _permutation(text: str | None, n: int) -> tuple[int, ...]:
     if not text:
         check_vertex_count(2 * n, "2n")
         return identity_permutation(n)
-    images = [int(x) for x in text.replace(",", " ").split()]
+    images = _parse_ids(text)
     if len(images) != n:
         raise TssError(f"permutation needs {n} entries, got {len(images)}")
     return permutation_from_one_based(images)
@@ -108,7 +110,7 @@ def _build_family(args, max_vertices: int = MAX_VERTICES) -> Graph:
 
 
 def _one_source(args) -> None:
-    if getattr(args, "graph", None) and getattr(args, "family", None):
+    if args.graph and args.family:
         raise BadParam("give either --graph or --family, not both")
 
 
@@ -116,39 +118,41 @@ def _load_graph(args, max_vertices: int = MAX_VERTICES) -> tuple[Graph, list[int
     """Graph from --graph (path or '-') or from family flags, refused above
     `max_vertices` before it is built."""
     _one_source(args)
-    if getattr(args, "graph", None):
+    if args.graph:
         text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
         return graph_from_json(text, max_vertices)
-    if getattr(args, "family", None):
+    if args.family:
         return _build_family(args, max_vertices), None
     raise TssError("need either --graph or --family")
 
 
-def _threshold_spec(args) -> str | None:
-    """--threshold, else --k as constant:<k>, else None."""
-    spec = getattr(args, "threshold", None)
-    if spec is None and getattr(args, "k", None) is not None:
-        spec = f"constant:{args.k}"
-    return spec
-
-
-def _thresholds(args, g: Graph, doc_thresholds: list[int] | None):
-    spec = _threshold_spec(args)
+def _threshold_rule(args) -> tuple[str, int | None] | None:
+    """--threshold, else --k, as (name, k): ("constant", k), ("majority", None)
+    or ("strict-majority", None). None when neither flag is given."""
+    spec = args.threshold
     if spec is None:
-        if doc_thresholds is not None:
-            return doc_thresholds
-        raise TssError("need --threshold (or --k, or thresholds in the graph document)")
-    if spec == "majority":
-        return majority_threshold(g)
-    if spec == "strict-majority":
-        return strict_majority_threshold(g)
+        return None if args.k is None else ("constant", args.k)
+    if spec in ("majority", "strict-majority"):
+        return spec, None
     if spec.startswith("constant:"):
-        return constant_threshold(g, int(spec.split(":", 1)[1]))
+        return "constant", int(spec.split(":", 1)[1])
     raise TssError(f"bad threshold spec {spec!r}; use constant:<k>|majority|strict-majority")
 
 
+def _thresholds(rule: tuple[str, int | None] | None, g: Graph,
+                doc_thresholds: list[int] | None):
+    if rule is None:
+        if doc_thresholds is not None:
+            return doc_thresholds
+        raise TssError("need --threshold (or --k, or thresholds in the graph document)")
+    name, k = rule
+    if name == "constant":
+        return constant_threshold(g, k)
+    return majority_threshold(g) if name == "majority" else strict_majority_threshold(g)
+
+
 def _seed_ids(args, g: Graph) -> list[int]:
-    if getattr(args, "seed_file", None):
+    if args.seed_file:
         text = Path(args.seed_file).read_text()
         try:
             doc = json.loads(text)
@@ -157,7 +161,7 @@ def _seed_ids(args, g: Graph) -> list[int]:
         if not isinstance(doc, list):
             raise BadParam("a JSON seed file must hold a list of vertex ids")
         return int_list(doc, "seed id")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed == "all":
             return list(g.vertices())
         return _parse_ids(args.seed)
@@ -191,7 +195,7 @@ def cmd_gen(args) -> int:
         return 0
     thresholds = None
     if args.threshold or args.k is not None:
-        thresholds = _thresholds(args, g, None)
+        thresholds = _thresholds(_threshold_rule(args), g, None)
     print(graph_to_json(g, thresholds))
     return 0
 
@@ -207,7 +211,7 @@ def cmd_seed(args) -> int:
 
 def cmd_simulate(args) -> int:
     g, doc_th = _load_graph(args)
-    theta = _thresholds(args, g, doc_th)
+    theta = _thresholds(_threshold_rule(args), g, doc_th)
     seed = _seed_ids(args, g)
     trace = parallel_trace(g, theta, seed)
     doc = trace.to_dict()
@@ -228,7 +232,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     g, doc_th = _load_graph(args)
-    theta = _thresholds(args, g, doc_th)
+    theta = _thresholds(_threshold_rule(args), g, doc_th)
     seed = _seed_ids(args, g)
     doc: dict = {"seed_size": len(set(seed))}
     if args.sequence is not None:
@@ -253,34 +257,24 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     _one_source(args)
+    rule = _threshold_rule(args)
     # The strip bounds are for threshold 3, which strict majority and
-    # constant:3 put on every vertex of a (4-regular) torus.
-    strip = _threshold_spec(args) in (None, "constant:3", "strict-majority")
-    if strip and args.family in ("cordalis", "mesh", "serpentinus"):
-        m, n = _family_sizes(args)
-        report = bounds_mod.torus_bounds(m, n, args.family)
-        doc = {
-            "lower": report.lower,
-            "upper": report.upper,
-            "lower_source": report.lower_source,
-            "upper_source": report.upper_source,
-        }
+    # constant 3 put on every vertex of a (4-regular) torus.
+    strip = rule in (None, ("constant", 3), ("strict-majority", None))
+    if strip and args.family in ("mesh", "cordalis", "serpentinus"):
+        report = bounds_mod.torus_bounds(*_family_sizes(args), args.family)
     else:
         g, doc_th = _load_graph(args)
-        theta = _thresholds(args, g, doc_th)
+        theta = _thresholds(rule, g, doc_th)
         if len(set(theta)) != 1 or theta[0] < 1:
             raise TssError("the degree-counting lower bound needs a constant threshold k >= 1")
         upper = g.vertex_count
         if theta[0] == 2 and args.family in ("gpg", "cp"):
             # the verified seed construction on 2m (2n) vertices is the best known upper bound
             upper = bounds_mod.cubic_seed_size(g.vertex_count // 2)
-        doc = {
-            "lower": bounds_mod.lower_bound_lemma(g, theta[0]),
-            "upper": upper,
-            "lower_source": "lemma3",
-            "upper_source": "construction",
-        }
-    print(json.dumps(doc))
+        report = bounds_mod.BoundsReport(bounds_mod.lower_bound_lemma(g, theta[0]), upper,
+                                         "lemma3", "construction")
+    print(json.dumps(dataclasses.asdict(report)))
     return 0
 
 
@@ -298,48 +292,41 @@ def _limits(args) -> SolveLimits:
     )
 
 
+def _print_result(result, fields: tuple[str, ...]) -> None:
+    """A solver result's `fields` as one JSON line, its witness sorted."""
+    doc = {name: getattr(result, name) for name in fields}
+    if doc["witness"] is not None:
+        doc["witness"] = sorted(doc["witness"])
+    print(json.dumps(doc))
+
+
 def cmd_exact(args) -> int:
     limits = _limits(args)
     g, doc_th = _load_graph(args, limits.max_vertices)
-    theta = _thresholds(args, g, doc_th)
+    theta = _thresholds(_threshold_rule(args), g, doc_th)
     result = exact_min_seed(g, theta, limits)
-    print(
-        json.dumps(
-            {
-                "optimum": result.optimum,
-                "witness": sorted(result.witness) if result.witness is not None else None,
-                "nodes_explored": result.nodes_explored,
-                "status": result.status,
-            }
-        )
-    )
+    _print_result(result, ("optimum", "witness", "nodes_explored", "status"))
     return 0 if result.status == "optimal" else 1
 
 
 def cmd_check_optimal(args) -> int:
     limits = _limits(args)
     g, doc_th = _load_graph(args, limits.max_vertices)
-    theta = _thresholds(args, g, doc_th)
+    theta = _thresholds(_threshold_rule(args), g, doc_th)
     check = verify_optimality(g, theta, args.claimed, limits)
-    print(
-        json.dumps(
-            {
-                "status": check.status,
-                "witness": sorted(check.witness) if check.witness is not None else None,
-                "reason": check.reason,
-                "nodes_explored": check.nodes_explored,
-            }
-        )
-    )
+    _print_result(check, ("status", "witness", "reason", "nodes_explored"))
     return 0 if check.status == "confirmed" else 1
 
 
 def _table_rows(args):
     cap = args.max_cells
-    for m in range(args.m_min, args.m_max + 1):
+    m_max = args.m_max
+    if args.n_min >= 1:  # every m above cap // n_min has m * n_min > cap
+        m_max = min(m_max, max(cap // args.n_min, 0))
+    for m in range(args.m_min, m_max + 1):
         for n in range(args.n_min, args.n_max + 1):
             if m * n > cap:
-                if m > 0:  # m * n only grows with n
+                if m >= 0:  # m * n never falls as n grows
                     break
                 continue
             try:
@@ -373,9 +360,9 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print(json.dumps(rows))
     else:
-        print("m,n,case,phi,size,lower,status")
+        print(",".join(TABLE_COLUMNS))
         for r in rows:
-            print(f"{r['m']},{r['n']},{r['case']},{r['phi']},{r['size']},{r['lower']},{r['status']}")
+            print(",".join(str(r[c]) for c in TABLE_COLUMNS))
     return 1 if failed else 0
 
 

@@ -23,6 +23,7 @@ from .bounds import cubic_seed_size, flocchini_upper, tss_lower_bound_torus
 from .errors import BadParam, ConstructionFailedVerification
 from .families import (
     check_permutation,
+    check_torus,
     cycle_permutation,
     generalized_petersen,
     torus_cordalis,
@@ -434,8 +435,7 @@ def seed_torus_cordalis(m: int, n: int) -> SeedReport:
     then the gap-one case, then the upper-bound families, then the verified
     fallback.
     """
-    if m < 3 or n < 2:
-        raise BadParam("torus cordalis needs m >= 3 and n >= 2")
+    check_torus("cordalis", m, n)
     if n == 3:
         return seed_cordalis_n3(m)
     if m % 3 == 0:

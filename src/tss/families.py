@@ -123,6 +123,26 @@ class TorusLabels(Mapping[int, str]):
         return self._size
 
 
+# variant -> (name in messages, least n); every variant needs m >= 3.
+_TORUS_DOMAIN = {"mesh": ("toroidal mesh", 3), "cordalis": ("torus cordalis", 2),
+                 "serpentinus": ("torus serpentinus", 2)}
+
+
+def check_torus(variant: str, m: int, n: int) -> None:
+    """Refuse (m, n) outside the domain of a torus variant: BadParam when
+    m < 3 or n is below the variant's least n, NonSimpleResult for the
+    serpentinus at n = 2, whose shifted row wrap is a column wrap edge."""
+    if variant not in _TORUS_DOMAIN:
+        raise BadParam(f"unknown torus variant {variant!r}")
+    name, least_n = _TORUS_DOMAIN[variant]
+    if m < 3 or n < least_n:
+        raise BadParam(f"{name} needs m >= 3 and n >= {least_n}")
+    if variant == "serpentinus" and n == 2:
+        raise NonSimpleResult(
+            f"{name} ({m},{n}): replacement edge {(0, m * n - 1)} already present"
+        )
+
+
 def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
     """Graph from row-major neighbour tuples whose ids may lie outside 0..mn-1.
 
@@ -138,8 +158,7 @@ def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
 
 def toroidal_mesh(m: int, n: int) -> Graph:
     """m x n torus grid: (i,j) adjacent to (i±1,j) and (i,j±1), wrapping."""
-    if m < 3 or n < 3:
-        raise BadParam("toroidal mesh needs m >= 3 and n >= 3")
+    check_torus("mesh", m, n)
     check_vertex_count(m * n, "mn")
     nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(m * n)]
     for r in range(0, m * n, n):  # the column wrap (i,n)(i,1) stays in its row
@@ -155,8 +174,7 @@ def torus_cordalis(m: int, n: int) -> Graph:
     direction forms a single cycle through all mn vertices. With row-major ids
     this is the circulant C_mn(1, n): k is adjacent to k±1 and k±n mod mn.
     """
-    if m < 3 or n < 2:
-        raise BadParam("torus cordalis needs m >= 3 and n >= 2")
+    check_torus("cordalis", m, n)
     check_vertex_count(m * n, "mn")
     return _torus_graph(m, n, [(k - n, k - 1, k + 1, k + n) for k in range(m * n)])
 
@@ -167,13 +185,8 @@ def torus_serpentinus(m: int, n: int) -> Graph:
     The edge (1,j)(m,j) is replaced by (1,j)(m,j+1), second coordinate mod n.
     At n = 2 the replacement (1,1)(m,2) is the cordalis edge (m,2)(1,1).
     """
-    if m < 3 or n < 2:
-        raise BadParam("torus serpentinus needs m >= 3 and n >= 2")
+    check_torus("serpentinus", m, n)
     check_vertex_count(m * n, "mn")
-    if n == 2:
-        raise NonSimpleResult(
-            f"torus serpentinus ({m},{n}): replacement edge {(0, m * n - 1)} already present"
-        )
     N = m * n
     nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(N)]
     for j in range(n):

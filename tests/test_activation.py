@@ -5,6 +5,7 @@ import pytest
 from tss import (
     DuplicateVertex,
     SeedOverlap,
+    VertexOutOfRange,
     closure,
     constant_threshold,
     extract_convinced_sequence,
@@ -153,6 +154,10 @@ def test_validate_partial_sequence_is_legal():
     g = path(3)
     check = validate_convinced_sequence(g, constant_threshold(g, 1), [1], [0])
     assert check.ok and not check.full_influence
+    assert bool(check) is True
+    # a vertex with too few active neighbours makes the check false
+    check = validate_convinced_sequence(g, constant_threshold(g, 2), [1], [0])
+    assert not check.ok and bool(check) is False and check.failing_position == 1
 
 
 def test_validate_rejects_duplicates_and_overlap():
@@ -162,6 +167,9 @@ def test_validate_rejects_duplicates_and_overlap():
         validate_convinced_sequence(g, theta, [1], [1])
     with pytest.raises(DuplicateVertex):
         validate_convinced_sequence(g, theta, [1], [0, 0])
+    for v in (3, -1):
+        with pytest.raises(VertexOutOfRange):
+            validate_convinced_sequence(g, theta, [1], [0, v])
 
 
 def test_extracted_sequence_validates_iff_influencing():

@@ -5,6 +5,7 @@ import pytest
 from tss import (
     BadParam,
     BoundsReport,
+    NonSimpleResult,
     build_graph,
     constant_threshold,
     cycle,
@@ -69,6 +70,11 @@ def test_torus_lower_bound_values():
     assert tss_lower_bound_torus(3, 3) == 4
     with pytest.raises(BadParam):
         tss_lower_bound_torus(2, 3)
+    # the domain error names the family, as the constructor's does
+    for bound in (lambda: tss_lower_bound_torus(2, 5), lambda: flocchini_upper(2, 5, "cordalis"),
+                  lambda: torus_cordalis(2, 5)):
+        with pytest.raises(BadParam, match=r"^torus cordalis needs m >= 3 and n >= 2$"):
+            bound()
 
 
 def test_flocchini_values():
@@ -79,6 +85,15 @@ def test_flocchini_values():
         flocchini_upper(3, 2, "mesh")
     with pytest.raises(BadParam):
         flocchini_upper(3, 3, "hexagonal")
+    with pytest.raises(BadParam, match="torus cordalis needs"):
+        flocchini_upper(3, 1, "cordalis")
+    with pytest.raises(BadParam, match="torus serpentinus needs"):
+        flocchini_upper(2, 4, "serpentinus")
+    # the serpentinus at n = 2 is not simple, so it has no strip bound either
+    with pytest.raises(NonSimpleResult):
+        flocchini_upper(5, 2, "serpentinus")
+    with pytest.raises(NonSimpleResult):
+        torus_bounds(5, 2, "serpentinus")
 
 
 def test_lower_never_exceeds_upper():

@@ -70,6 +70,18 @@ def test_gen_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "gen", "--family", "cordalis", "--m", "2", "--n", "3")
     assert code == 2
     assert "error" in err
+    # bounds refuses a torus outside its domain as gen does: the serpentinus at
+    # n = 2 is not simple, and every domain error names the family
+    for family, m, n, name in (("serpentinus", 5, 2, "torus serpentinus (5,2)"),
+                               ("serpentinus", 2, 3, "torus serpentinus needs"),
+                               ("mesh", 2, 4, "toroidal mesh needs"),
+                               ("mesh", 4, 2, "toroidal mesh needs"),
+                               ("cordalis", 3, 1, "torus cordalis needs")):
+        torus = ("--family", family, "--m", str(m), "--n", str(n))
+        code, out, err = run(capsys, "gen", *torus)
+        assert code == 2 and out == "" and err.startswith(f"error: {name}")
+        assert run(capsys, "bounds", *torus) == (2, "", err)
+        assert run(capsys, "bounds", *torus, "--k", "3") == (2, "", err)
 
 
 def test_seed_cordalis_golden_value(capsys):
@@ -158,9 +170,17 @@ def test_bounds_torus_strip_bounds_only_at_threshold_3(capsys):
     strip = ('{"lower": 9, "upper": 12, "lower_source": "flocchini_a", '
              '"upper_source": "flocchini_a"}\n')
     torus = ("bounds", "--family", "cordalis", "--m", "5", "--n", "5")
-    for flags in ((), ("--k", "3"), ("--threshold", "constant:3"),
-                  ("--threshold", "strict-majority")):
+    three = ((), ("--k", "3"), ("--threshold", "constant:3"), ("--threshold", "constant:03"),
+             ("--threshold", "constant:+3"), ("--threshold", "strict-majority"))
+    for flags in three:
         assert run(capsys, *torus, *flags) == (0, strip, "")
+    # constant:<k> is read as the integer k on the mesh and the serpentinus too
+    for family in ("mesh", "serpentinus"):
+        other = ("bounds", "--family", family, "--m", "6", "--n", "7")
+        want = run(capsys, *other)
+        assert want[0] == 0 and json.loads(want[1])["upper_source"] == "flocchini_b"
+        for flags in three:
+            assert run(capsys, *other, *flags) == want
     # one vertex influences everything at threshold 1
     code, out, _ = run(capsys, *torus, "--k", "1")
     doc = json.loads(out)
@@ -331,19 +351,32 @@ class _Stuck(Exception):
     pass
 
 
-def test_table_stops_scanning_n_past_the_cell_cap(capsys):
+def run_within_20s(capsys, *argv):
+    """`run` under a 20 s SIGALRM timer, which fails a command that hangs."""
     def stuck(signum, frame):
-        raise _Stuck("tss table still scanning n")
+        raise _Stuck(f"tss {' '.join(argv)} still running after 20 s")
 
-    rows = ("table", "--m-min", "1", "--m-max", "5", "--n-min", "-2", "--max-cells", "60")
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.setitimer(signal.ITIMER_REAL, 20)
     try:
-        huge = run(capsys, *rows, "--n-max", str(10**15))
+        return run(capsys, *argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert huge == run(capsys, *rows, "--n-max", "300")
+
+
+def test_table_stops_scanning_n_past_the_cell_cap(capsys):
+    # m = 0 fits no n when --max-cells is negative
+    for rows in (("table", "--m-min", "1", "--m-max", "5", "--n-min", "-2", "--max-cells", "60"),
+                 ("table", "--m-min", "0", "--m-max", "0", "--n-min", "0", "--max-cells", "-1")):
+        huge = run_within_20s(capsys, *rows, "--n-max", str(10**15))
+        assert huge == run(capsys, *rows, "--n-max", "300")
+
+
+def test_table_stops_scanning_m_past_the_cell_cap(capsys):
+    rows = ("table", "--n-min", "3", "--n-max", "7", "--max-cells", "90")
+    huge = run_within_20s(capsys, *rows, "--m-max", str(10**15))
+    assert huge[0] == 0 and huge == run(capsys, *rows, "--m-max", "30")
 
 
 def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):

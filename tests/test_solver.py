@@ -166,6 +166,8 @@ def test_verify_optimality_triangle():
     too_low = verify_optimality(g, theta, 1)
     assert too_low.status == "inconclusive"
     assert "larger" in too_low.reason
+    with pytest.raises(BadParam, match="non-negative"):
+        verify_optimality(g, theta, -1)
 
 
 def test_verify_optimality_examples():
