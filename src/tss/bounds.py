@@ -37,7 +37,8 @@ def lower_bound_lemma(g: Graph, k: int) -> int:
     vertex has degree below Delta, or when k < Delta (the last vertex has no
     forward edge against an allowance of at least Delta - k >= 1); then
     |S| >= (|E| - (Delta - k)|V| + 1) / k. On a Delta-regular graph with
-    k >= Delta the +1 is dropped. Returns the ceiling, floored at 0.
+    k >= Delta the +1 is dropped. Returns the ceiling, floored at 1: with
+    k >= 1 the empty seed activates nothing.
     """
     if k < 1:
         raise BadParam("constant threshold k must be >= 1")
@@ -47,7 +48,7 @@ def lower_bound_lemma(g: Graph, k: int) -> int:
     delta = max(degrees)
     slack = k < delta or min(degrees) < delta
     num = sum(degrees) // 2 - (delta - k) * g.vertex_count + slack
-    return max(0, _ceil_div(num, k))
+    return max(1, _ceil_div(num, k))
 
 
 def cubic_seed_size(p: int) -> int:

@@ -127,9 +127,11 @@ def _load_graph(args, max_vertices: int = MAX_VERTICES) -> tuple[Graph, list[int
 
 
 def _threshold_rule(args) -> tuple[str, int | None] | None:
-    """--threshold, else --k, as (name, k): ("constant", k), ("majority", None)
+    """--threshold or --k, as (name, k): ("constant", k), ("majority", None)
     or ("strict-majority", None). None when neither flag is given."""
     spec = args.threshold
+    if spec is not None and args.k is not None:
+        raise BadParam("give either --threshold or --k, not both")
     if spec is None:
         return None if args.k is None else ("constant", args.k)
     if spec in ("majority", "strict-majority"):
@@ -193,10 +195,8 @@ def cmd_gen(args) -> int:
     if args.dot:
         sys.stdout.write(graph_to_dot(g))
         return 0
-    thresholds = None
-    if args.threshold or args.k is not None:
-        thresholds = _thresholds(_threshold_rule(args), g, None)
-    print(graph_to_json(g, thresholds))
+    rule = _threshold_rule(args)
+    print(graph_to_json(g, None if rule is None else _thresholds(rule, g, None)))
     return 0
 
 
@@ -338,9 +338,6 @@ def _table_rows(args):
                 }
                 continue
             case = report.theorem_case
-            phi = formula_value(case, m, n)
-            if phi is None:
-                phi = bounds_mod.flocchini_upper(m, n, "cordalis")
             status = {
                 "exact": "exact",
                 "upper_bound": "upper_bound",
@@ -349,7 +346,7 @@ def _table_rows(args):
             if case == "fallback":
                 status = "fallback"
             yield {
-                "m": m, "n": n, "case": case, "phi": phi,
+                "m": m, "n": n, "case": case, "phi": formula_value(case, m, n),
                 "size": report.size, "lower": report.lower_bound, "status": status,
             }
 

@@ -1,12 +1,14 @@
 """Seed-set builders, one per theorem case.
 
 Each builder assembles the prescribed seed in the 1-based torus coordinates
-(or cycle labels) of the source construction and maps it to vertex ids. One
-gate verifies every seed by simulation before a report is returned: the seed
-size must match the closed form (the fallback must stay within the
-strip-seeding budget), and the parallel process from the seed must activate
-every vertex. The report's convinced sequence is that process flattened
-round by round, ascending ids within a round, so it is legal by construction.
+(or cycle labels) of the source construction and maps it to vertex ids. The
+torus layouts are small tiles of cells repeated down the rows and across the
+columns by `_repeat`. One gate verifies every seed by simulation before a
+report is returned: the seed size must match the closed form (the fallback
+must stay within the strip-seeding budget), and the parallel process from
+the seed must activate every vertex. The report's convinced sequence is that
+process flattened round by round, ascending ids within a round, so it is
+legal by construction.
 
 Case tags: T3 (cycle permutation), T4 (generalized Petersen), T5 (n=3 torus),
 T6a/T6b/T6c (n=3s), T7c1..T7c3 (n=3s+1), T8c1..T8c6 (n=3s+2), T9even/T9odd
@@ -67,13 +69,16 @@ class SeedReport:
         return out
 
 
-def _irange(a: int, b: int) -> range:
-    """Inclusive integer range; empty when b < a."""
-    return range(a, b + 1)
+def _repeat(cells: list[Coord], count: int, step: Coord) -> list[Coord]:
+    """`cells` and count - 1 copies of it, copy c moved by c * step; empty
+    when count < 1."""
+    di, dj = step
+    return [(i + c * di, j + c * dj) for c in range(count) for i, j in cells]
 
 
-def formula_value(case: str, m: int, n: int) -> int | None:
-    """Closed-form size for a torus case tag, or None for the fallback.
+def formula_value(case: str, m: int, n: int) -> int:
+    """Closed-form size for a torus case tag; for the fallback, the
+    strip-seeding budget ceil(m/3)(n+1) that its seed must stay within.
 
     For the gap-one case this is the construction size ms+2 (the matching
     lower bound is ms+1).
@@ -100,7 +105,7 @@ def formula_value(case: str, m: int, n: int) -> int | None:
         }[case]
     if case in ("T9even", "T9odd"):
         return m * n // 3 + 1
-    return None
+    return flocchini_upper(m, n, "cordalis")
 
 
 def _verified_report(
@@ -244,9 +249,8 @@ def seed_cordalis_n3(m: int) -> SeedReport:
     check_vertex_count(3 * m, "mn")
     if m < 3:
         raise BadParam("need m >= 3")
-    s1 = [(2 * i + 1, 1) for i in _irange(0, (m - 1) // 2)]
-    s2 = [(2 * i, 2) for i in _irange(1, m // 2)]
-    return _torus_report(m, 3, "T5", EXACT, s1 + s2 + [(1, 3)])
+    seed = _repeat([(1, 1)], (m + 1) // 2, (2, 0)) + _repeat([(2, 2)], m // 2, (2, 0))
+    return _torus_report(m, 3, "T5", EXACT, seed + [(1, 3)])
 
 
 _T6_MIN_M = (8, 5)  # the T6 layout's row rule, by m % 2: even m >= 8, odd m >= 5
@@ -261,9 +265,9 @@ def _t6_layout(m: int, s: int, shift: int) -> list[Coord]:
     if m < _T6_MIN_M[m % 2]:
         raise BadParam(f"{('even', 'odd')[m % 2]} case needs m >= {_T6_MIN_M[m % 2]}")
     bottom = [] if m % 2 else [(m - 2, 1), (m - 1, 3), (m, 2)]
-    block = [(1, 1), (2, 2), (3, 1), (4, 3), (5, 2)]
-    block += [c for i in range(6, m + 1 - len(bottom), 2) for c in ((i, 3), (i + 1, 2))]
-    return [(i, c + shift + 3 * j) for j in range(s) for i, c in block + bottom]
+    block = [(1, 1), (2, 2), (3, 1), (4, 3), (5, 2)] + bottom
+    block += _repeat([(6, 3), (7, 2)], (m - 4 - len(bottom)) // 2, (2, 0))
+    return _repeat([(i, j + shift) for i, j in block], s, (0, 3))
 
 
 def seed_cordalis_n3s(m: int, s: int) -> SeedReport:
@@ -293,7 +297,8 @@ def seed_cordalis_n1mod3(m: int, n: int) -> SeedReport:
     if n < 4 or n % 3 != 1:
         raise BadParam("need n >= 4 with n = 3s+1")
     s = (n - 1) // 3
-    seed = _t6_layout(m, s, 1) + [(i, 1) for i in {1, 2, 4, *range(6, m - 2, 2), m - 1}]
+    seed = _t6_layout(m, s, 1) + [(1, 1), (2, 1), (4, 1), (m - 1, 1)]
+    seed += _repeat([(6, 1)], (m - 7) // 2, (2, 0))
     if m % 2 == 1:
         return _torus_report(m, n, "T7c1", UPPER, seed)
     if s % 2 == 1:
@@ -318,26 +323,12 @@ def seed_cordalis_n2mod3(m: int, n: int) -> SeedReport:
     t, r = divmod(m, 4)
     first = 4 if r < 2 else 6  # first row of the interior blocks
     wide = r % 2 == 0  # 5-row right margin
-    top = t - 3 if wide else t - 2  # inclusive upper interior block index
+    blocks = t - 2 if wide else t - 1  # interior blocks
     left = [(1, 3), (2, 4), (3, 3)] + ([(4, 5), (5, 3)] if first == 6 else [])
     right = [(m - 1, 5), (m, 4)] + ([(m - 4, 5), (m - 3, 4), (m - 2, 3)] if wide else [])
-    seed = [(i, c + 3 * j) for j in _irange(0, s - 1) for i, c in left + right]
-    seed += [
-        c
-        for b in _irange(0, top)
-        for c in ((first + 4 * b, 1), (first + 2 + 4 * b, 1), (first + 2 + 4 * b, 2))
-    ]
-    seed += [
-        c
-        for j in _irange(0, s - 1)
-        for b in _irange(0, top)
-        for c in (
-            (first + 4 * b, 5 + 3 * j),
-            (first + 1 + 4 * b, 3 + 3 * j),
-            (first + 2 + 4 * b, 5 + 3 * j),
-            (first + 3 + 4 * b, 3 + 3 * j),
-        )
-    ]
+    interior = [(first, 5), (first + 1, 3), (first + 2, 5), (first + 3, 3)]
+    seed = _repeat(left + right + _repeat(interior, blocks, (4, 0)), s, (0, 3))
+    seed += _repeat([(first, 1), (first + 2, 1), (first + 2, 2)], blocks, (4, 0))
     seed += [(2, 1), (3, 2), (m - 1, 1), (m, 2)]
     if first == 6:
         seed += [(4, 1), (5, 2)]
@@ -359,42 +350,22 @@ def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
         raise BadParam("need n >= 2")
     t = m // 3
     if n % 2 == 0:
-        s1 = [
-            c for j in _irange(0, (n - 2) // 2) for c in ((1, 1 + 2 * j), (2, 2 + 2 * j))
-        ]
-        s2 = [
-            c for i in _irange(0, t - 2) for c in ((4 + 3 * i, 2), (6 + 3 * i, 1))
-        ]
-        s3 = [
-            c
-            for j in _irange(0, (n - 4) // 2)
-            for i in _irange(0, t - 2)
-            for c in ((4 + 3 * i, 4 + 2 * j), (5 + 3 * i, 3 + 2 * j))
-        ]
-        return _torus_report(m, n, "T9even", EXACT, s1 + s2 + s3 + [(3, 1)])
+        pair = [(1, 3), (2, 4)] + _repeat([(4, 4), (5, 3)], t - 1, (3, 0))
+        seed = _repeat(pair, (n - 2) // 2, (0, 2)) + _repeat([(4, 2), (6, 1)], t - 1, (3, 0))
+        return _torus_report(m, n, "T9even", EXACT, seed + [(1, 1), (2, 2), (3, 1)])
 
     if n < 5:
         return seed_cordalis_n3(m)
-    s1 = [
-        c
-        for i in _irange(0, t - 1)
-        for c in ((1 + 3 * i, 1), (2 + 3 * i, 2), (3 + 3 * i, 3))
-    ]
-    s2 = [c for j in _irange(0, (n - 5) // 2) for c in ((1, 5 + 2 * j), (2, 4 + 2 * j))]
-    s3 = [
-        c
-        for j in _irange(0, (n - 5) // 2)
-        for i in _irange(0, t - 2)
-        for c in ((4 + 3 * i, 4 + 2 * j), (5 + 3 * i, 5 + 2 * j))
-    ]
-    return _torus_report(m, n, "T9odd", EXACT, s1 + s2 + s3 + [(1, 3)])
+    pair = [(1, 5), (2, 4)] + _repeat([(4, 4), (5, 5)], t - 1, (3, 0))
+    seed = _repeat(pair, (n - 3) // 2, (0, 2)) + _repeat([(1, 1), (2, 2), (3, 3)], t, (3, 0))
+    return _torus_report(m, n, "T9odd", EXACT, seed + [(1, 3)])
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher and fallback
 # ---------------------------------------------------------------------------
 
-def _fallback_seed_ids(m: int, n: int) -> set[int]:
+def _fallback_layout(m: int, n: int) -> list[Coord]:
     """Verified fallback layouts for the parameter pairs no case covers.
 
     For n = 3q+2 the vertex ids trace the column-order Hamiltonian cycle, and
@@ -403,29 +374,16 @@ def _fallback_seed_ids(m: int, n: int) -> set[int]:
     last row empty.  For m = 4 (remaining n) rows 1 and 3 are seeded whole:
     rows 2 and 4 sit between two fully active rows and self-activate.
     """
+    check_vertex_count(m * n, "mn")
     if n % 3 == 2 and m >= 4:
         ids = {k for k in range(n) if k % 3 != 2}
         ids.update(k for k in range(n, (m - 2) * n) if k % 3 == 1)
         ids.update(k for k in range((m - 2) * n, (m - 1) * n) if k % 3 != 0)
         ids.add((m - 1) * n - 1)  # hand the wave across the last-row boundary
-        return ids
+        return [(k // n + 1, k % n + 1) for k in ids]
     if m == 4:
-        return {torus_vertex_id(m, n, i, j) for i in (1, 3) for j in _irange(1, n)}
+        return _repeat([(1, 1), (3, 1)], n, (0, 1))
     raise BadParam(f"no fallback layout for ({m},{n})")
-
-
-def _fallback_report(m: int, n: int) -> SeedReport:
-    return _verified_report(
-        torus_cordalis(m, n),
-        3,
-        _fallback_seed_ids(m, n),
-        family="torus_cordalis",
-        params={"m": m, "n": n},
-        case="fallback",
-        kind=UPPER,
-        expected_size=flocchini_upper(m, n, "cordalis"),
-        lower_bound=tss_lower_bound_torus(m, n),
-    )
 
 
 def seed_torus_cordalis(m: int, n: int) -> SeedReport:
@@ -444,4 +402,4 @@ def seed_torus_cordalis(m: int, n: int) -> SeedReport:
         return seed_cordalis_n1mod3(m, n) if n % 3 else seed_cordalis_n3s(m, n // 3)
     if n % 3 == 2 and n >= 5 and m >= 10:
         return seed_cordalis_n2mod3(m, n)
-    return _fallback_report(m, n)
+    return _torus_report(m, n, "fallback", UPPER, _fallback_layout(m, n))

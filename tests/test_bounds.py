@@ -59,9 +59,10 @@ def test_lemma_preconditions():
 
 
 def test_lemma_never_negative():
-    # star graph with k=1: formula numerator goes negative, clamp at 0
+    # star graph with k=1: the formula's numerator goes negative, but the
+    # empty seed activates nothing, so the bound is 1
     g = build_graph(5, [(0, i) for i in range(1, 5)])
-    assert lower_bound_lemma(g, 1) >= 0
+    assert lower_bound_lemma(g, 1) == 1
 
 
 def test_torus_lower_bound_values():

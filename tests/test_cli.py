@@ -184,7 +184,7 @@ def test_bounds_torus_strip_bounds_only_at_threshold_3(capsys):
     # one vertex influences everything at threshold 1
     code, out, _ = run(capsys, *torus, "--k", "1")
     doc = json.loads(out)
-    assert code == 0 and doc["lower"] <= 1 and doc["lower_source"] == "lemma3"
+    assert code == 0 and doc["lower"] == 1 and doc["lower_source"] == "lemma3"
     # above the degree every vertex must be seeded
     code, out, _ = run(capsys, "bounds", "--family", "mesh", "--m", "4", "--n", "4", "--k", "9")
     doc = json.loads(out)
@@ -607,13 +607,16 @@ def test_seed_matches_the_library_report(capsys):
 def test_threshold_specs(capsys):
     code, out, _ = run(capsys, "gen", "--family", "path", "--n", "5", "--threshold", "majority")
     assert code == 0 and graph_from_json(out)[1] == [1, 1, 1, 1, 1]
-    for spec in ("bogus", "constant", "majority:2"):
+    for spec in ("bogus", "constant", "majority:2", ""):
         code, out, err = run(capsys, "gen", "--family", "path", "--n", "5", "--threshold", spec)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad threshold spec {spec!r}")
     code, out, err = run(capsys, "simulate", "--family", "path", "--n", "5",
                          "--threshold", "constant:x", "--seed", "0")
     assert (code, out) == (2, "") and "invalid literal" in err
+    for argv in (("gen", "--family", "path", "--n", "5"), ("bounds", "--family", "path", "--n", "6")):
+        code, out, err = run(capsys, *argv, "--threshold", "constant:3", "--k", "2")
+        assert (code, out, err) == (2, "", "error: give either --threshold or --k, not both\n")
 
 
 def test_permutation_flag_errors_exit_2(capsys):

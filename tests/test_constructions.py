@@ -9,6 +9,7 @@ import pytest
 from tss import (
     BadParam,
     ConstructionFailedVerification,
+    TssError,
     closure,
     constant_threshold,
     cycle_permutation,
@@ -301,7 +302,7 @@ def test_formula_value_matches_builders():
     ]:
         m, n = report.params["m"], report.params["n"]
         assert formula_value(report.theorem_case, m, n) == report.size
-    assert formula_value("fallback", 5, 5) is None
+    assert formula_value("fallback", 5, 5) == flocchini_upper(5, 5, "cordalis")
 
 
 def test_construction_never_beats_the_solver():
@@ -333,6 +334,9 @@ def test_report_to_dict_shape():
 # kinds and lower bounds of the builders; change it only together with a
 # construction that is meant to change
 SEED_DIGEST = "5d4a3e5405976df2d55d0464ab75173f1dbe2cec9ebeecb27fad42111c5540c2"
+# the same over each per-case torus builder on every pair with mn <= 400,
+# refusals included, since the dispatcher reaches only some of those pairs
+CASE_DIGEST = "47807b0b1a448ffa46614ea589ffd97b4be2fcabdc2efa81cae18bcc9a61ecc7"
 
 
 def test_seed_sets_match_pinned_digest():
@@ -347,6 +351,23 @@ def test_seed_sets_match_pinned_digest():
     for report in reports:
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == SEED_DIGEST
+
+    digest = hashlib.sha256()
+    for m in range(3, 201):
+        for n in range(2, 400 // m + 1):
+            calls = [(seed_cordalis_n1mod3, (m, n)), (seed_cordalis_n2mod3, (m, n)),
+                     (seed_cordalis_m0mod3, (m, n))]
+            if n % 3 == 0:
+                calls.append((seed_cordalis_n3s, (m, n // 3)))
+            if n == 3:
+                calls.append((seed_cordalis_n3, (m,)))
+            for build, args in calls:
+                try:
+                    doc = build(*args).to_dict()
+                except TssError as exc:
+                    doc = [type(exc).__name__, str(exc)]
+                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == CASE_DIGEST
 
 
 def _gate(report, seed, expected_size):

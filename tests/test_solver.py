@@ -331,14 +331,14 @@ def _rotates(g, theta):
 def _floor(g, theta):
     """The forced-vertex count, raised under a constant threshold k >= 1 to
     the degree-counting bound ceil((|E| - (Delta-k)|V| + 1)/k), whose +1 is
-    dropped on a Delta-regular graph with k >= Delta."""
+    dropped on a Delta-regular graph with k >= Delta, and to at least 1."""
     degrees = [g.degree(v) for v in g.vertices()]
     floor = sum(t > d for t, d in zip(theta, degrees))
     k, delta = theta[0], max(degrees)
     if len(set(theta)) == 1 and k >= 1:
         plus = 0 if len(set(degrees)) == 1 and k >= delta else 1
         lemma = -(-(len(g.edges) - (delta - k) * g.vertex_count + plus) // k)
-        floor = max(floor, lemma)
+        floor = max(floor, lemma, 1)
     return floor
 
 
