@@ -7,7 +7,9 @@ point containing the seed and is independent of update order.
 The parallel rounds, the sequential rule and the check of a claimed order
 share one engine: it counts down each vertex's need, theta(v) minus its
 active neighbours, and a vertex fires when its need first reaches 0, so no
-round is rescanned or sorted. The exact solver keeps its bitmask cascade.
+round is rescanned. Rounds are plain lists; only `parallel_trace` turns them
+into frozensets, and `extract_convinced_sequence` sorts each list in place.
+The exact solver keeps its bitmask cascade.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ class SequenceValidation:
 
 def _check_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
     s = frozenset(seed)
-    for v in s:
-        if not 0 <= v < g.vertex_count:
-            raise VertexOutOfRange(f"seed vertex {v} not in 0..{g.vertex_count - 1}")
+    if s and not (0 <= min(s) and max(s) < g.vertex_count):
+        for v in s:  # only to name the first offending vertex
+            if not 0 <= v < g.vertex_count:
+                raise VertexOutOfRange(f"seed vertex {v} not in 0..{g.vertex_count - 1}")
     return s
 
 
@@ -77,14 +80,15 @@ def _start(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> tuple[list
     return need, first
 
 
-def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]):
-    """Parallel process as (rounds, final); round t holds the vertices that
-    fire once every vertex of round t-1 is active (round 1: once the seed is)."""
+def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> list[list[int]]:
+    """Rounds of the parallel process, each a list without repeats; round t
+    holds the vertices that fire once every vertex of round t-1 is active
+    (round 1: once the seed is)."""
     adj = g.adjacency
     need, current = _start(g, theta, seed)
-    rounds: list[frozenset[int]] = []
+    rounds = []
     while current:
-        rounds.append(frozenset(current))
+        rounds.append(current)
         nxt = []
         for v in current:
             for w in adj[v]:
@@ -92,23 +96,22 @@ def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]):
                 if not need[w]:
                     nxt.append(w)
         current = nxt
-    return rounds, seed.union(*rounds)
+    return rounds
 
 
 def closure(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> frozenset[int]:
     """Final active set of the parallel process started from `seed`."""
     th = check_thresholds(g, theta)
     s = _check_seed(g, seed)
-    _, final = _run_rounds(g, th, s)
-    return final
+    return s.union(*_run_rounds(g, th, s))
 
 
 def parallel_trace(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> ActivationTrace:
     """Round-by-round record of the parallel process."""
     th = check_thresholds(g, theta)
     s = _check_seed(g, seed)
-    rounds, final = _run_rounds(g, th, s)
-    return ActivationTrace(s, tuple(rounds), final)
+    rounds = _run_rounds(g, th, s)
+    return ActivationTrace(s, tuple(map(frozenset, rounds)), s.union(*rounds))
 
 
 def is_influencing(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> bool:
@@ -183,11 +186,14 @@ def validate_convinced_sequence(
 def extract_convinced_sequence(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> list[int]:
     """A valid convinced sequence covering everything the seed influences.
 
-    Flattens the parallel trace round by round; vertices inside one round only
-    depend on earlier rounds, so any within-round order is legal.
+    The parallel rounds flattened, ascending ids within a round; vertices
+    inside one round only depend on earlier rounds, so any within-round order
+    is legal.
     """
-    trace = parallel_trace(g, theta, seed)
+    th = check_thresholds(g, theta)
+    s = _check_seed(g, seed)
     out: list[int] = []
-    for r in trace.rounds:
-        out.extend(sorted(r))
+    for r in _run_rounds(g, th, s):
+        r.sort()
+        out += r
     return out

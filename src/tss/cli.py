@@ -192,11 +192,12 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen(args) -> int:
     g = _build_family(args)
-    if args.dot:
+    rule = _threshold_rule(args)
+    theta = None if rule is None else _thresholds(rule, g, None)
+    if args.dot:  # DOT carries no thresholds, but bad threshold flags still fail
         sys.stdout.write(graph_to_dot(g))
         return 0
-    rule = _threshold_rule(args)
-    print(graph_to_json(g, None if rule is None else _thresholds(rule, g, None)))
+    print(graph_to_json(g, theta))
     return 0
 
 

@@ -369,18 +369,20 @@ def _fallback_layout(m: int, n: int) -> list[Coord]:
     """Verified fallback layouts for the parameter pairs no case covers.
 
     For n = 3q+2 the vertex ids trace the column-order Hamiltonian cycle, and
-    a traveling wave works: first row seeded in two of three residue classes,
-    middle rows every third id, second-to-last row in the other two classes,
-    last row empty.  For m = 4 (remaining n) rows 1 and 3 are seeded whole:
-    rows 2 and 4 sit between two fully active rows and self-activate.
+    a traveling wave works: first row seeded in two of three residue classes
+    of the row-major id mod 3, middle rows every third id, second-to-last row
+    in the other two classes, last row empty.  Row i's cells of class r are
+    the columns j = 1 + (r - (i-1)n) mod 3, stepping by 3.  For m = 4
+    (remaining n) rows 1 and 3 are seeded whole: rows 2 and 4 sit between two
+    fully active rows and self-activate.
     """
     check_vertex_count(m * n, "mn")
     if n % 3 == 2 and m >= 4:
-        ids = {k for k in range(n) if k % 3 != 2}
-        ids.update(k for k in range(n, (m - 2) * n) if k % 3 == 1)
-        ids.update(k for k in range((m - 2) * n, (m - 1) * n) if k % 3 != 0)
-        ids.add((m - 1) * n - 1)  # hand the wave across the last-row boundary
-        return [(k // n + 1, k % n + 1) for k in ids]
+        classes = [(0, 1)] + [(1,)] * (m - 3) + [(1, 2)]
+        cells = [(i, j) for i, row in enumerate(classes, 1) for r in row
+                 for j in range(1 + (r - (i - 1) * n) % 3, n + 1, 3)]
+        cells.append((m - 1, n))  # hand the wave across the last-row boundary
+        return cells
     if m == 4:
         return _repeat([(1, 1), (3, 1)], n, (0, 1))
     raise BadParam(f"no fallback layout for ({m},{n})")

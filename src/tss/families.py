@@ -4,9 +4,12 @@ Vertex ids are 0-based and contiguous; the 1-based coordinates used in the
 display labels ("v3", "u1", "(2,5)") exist only in each graph's label map.
 
 The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and pass
-closed-form neighbour tuples straight to `Graph`, with no edge list: the
-torus cordalis is the circulant C_mn(1, n), and the mesh and the serpentinus
-differ from it only at the row ends and in the first and last rows.
+closed-form neighbour tuples straight to `Graph`, with no edge list. The
+torus cordalis is the circulant C_mn(1, n), and it writes its tuples already
+sorted, one closed form each for vertex 0, row 1, the interior, row m and
+vertex mn-1. The mesh and the serpentinus differ from it only at the row
+ends and in the first and last rows; `_torus_graph` serves only those two,
+reducing and sorting their first and last rows.
 Their label map is a `TorusLabels`, which formats "(i,j)" from the id on
 lookup; the other families keep a plain dict.
 """
@@ -176,7 +179,17 @@ def torus_cordalis(m: int, n: int) -> Graph:
     """
     check_torus("cordalis", m, n)
     check_vertex_count(m * n, "mn")
-    return _torus_graph(m, n, [(k - n, k - 1, k + 1, k + n) for k in range(m * n)])
+    N = m * n
+    # The sorted tuples of C_N(1, n), N = mn, in closed form: vertex 0, the
+    # rest of row 1, the interior, row m but its last vertex, vertex N - 1.
+    # m >= 3 and n >= 2 keep every tuple strictly increasing.
+    low, high = range(n - 1), range(N - n + 1, N)
+    nbrs = [(1, n, N - n, N - 1)]
+    nbrs += zip(low, range(2, n + 1), range(n + 1, 2 * n), high)
+    nbrs += zip(range(N - 2 * n), range(n - 1, N - n - 1), range(n + 1, N - n + 1), range(2 * n, N))
+    nbrs += zip(low, range(N - 2 * n, N - n - 1), range(N - n - 1, N - 2), high)
+    nbrs.append((0, n - 1, N - n - 1, N - 2))
+    return Graph(tuple(nbrs), TorusLabels(m, n))
 
 
 def torus_serpentinus(m: int, n: int) -> Graph:

@@ -19,12 +19,12 @@ def constant_threshold(g: Graph, k: int) -> tuple[int, ...]:
 
 def majority_threshold(g: Graph) -> tuple[int, ...]:
     """theta(v) = ceil(d(v)/2)."""
-    return tuple((len(a) + 1) // 2 for a in g.adjacency)
+    return tuple([(d + 1) // 2 for d in map(len, g.adjacency)])
 
 
 def strict_majority_threshold(g: Graph) -> tuple[int, ...]:
     """theta(v) = ceil((d(v)+1)/2); 2 on 3-regular graphs, 3 on 4-regular ones."""
-    return tuple((len(a) + 2) // 2 for a in g.adjacency)
+    return tuple([(d + 2) // 2 for d in map(len, g.adjacency)])
 
 
 def check_thresholds(g: Graph, theta: Sequence[int]) -> tuple[int, ...]:

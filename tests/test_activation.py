@@ -222,6 +222,27 @@ def test_engine_rounds_match_from_scratch_recount():
     assert zero_seeded and zero_fired and never_fires and failures
 
 
+def test_trace_rounds_are_frozensets_and_final_is_the_closure():
+    g = torus_cordalis(11, 3)
+    theta = constant_threshold(g, 3)
+    for seed in (seed_cordalis_n3(11).seed, [0, 1, 2], []):
+        trace = parallel_trace(g, theta, seed)
+        assert type(trace.rounds) is tuple
+        assert all(type(r) is frozenset for r in trace.rounds)
+        assert trace.final == closure(g, theta, seed)
+        assert type(trace.final) is frozenset and trace.seed == frozenset(seed)
+
+
+def test_out_of_range_seed_names_the_first_bad_vertex():
+    g = path(5)
+    theta = constant_threshold(g, 1)
+    for seed in ([7, 1, -3, 9], [-1, 5], [0, 4, 5], [100, -100, 2]):
+        want = next(v for v in frozenset(seed) if not 0 <= v < 5)
+        for run in (closure, parallel_trace, extract_convinced_sequence):
+            with pytest.raises(VertexOutOfRange, match=rf"^seed vertex {want} not in 0\.\.4$"):
+                run(g, theta, seed)
+
+
 def test_trace_json_shape():
     g = path(3)
     doc = parallel_trace(g, constant_threshold(g, 1), [1]).to_dict()

@@ -66,6 +66,17 @@ def test_gen_dot(capsys):
     assert "--" in out
 
 
+def test_gen_dot_checks_the_threshold_flags(capsys):
+    base = ("gen", "--family", "path", "--n", "3")
+    for flags in (("--threshold", "bogus"), ("--threshold", "constant:3", "--k", "2"),
+                  ("--threshold", "constant:-1")):
+        code, out, err = run(capsys, *base, "--dot", *flags)
+        assert (code, out) == (2, "") and err
+        assert run(capsys, *base, *flags) == (code, out, err)
+    code, out, _ = run(capsys, *base, "--dot", "--threshold", "majority")
+    assert code == 0 and out == run(capsys, *base, "--dot")[1]
+
+
 def test_gen_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "gen", "--family", "cordalis", "--m", "2", "--n", "3")
     assert code == 2

@@ -209,6 +209,16 @@ def test_cordalis_is_the_circulant_c_mn_1_n():
                 assert set(adjacency[k]) == {(k + d) % size for d in (1, -1, n, -n)}
 
 
+def test_cordalis_closed_form_on_thin_and_flat_shapes():
+    shapes = [(m, n) for m in (3, 4, 7) for n in range(2, 301)]
+    shapes += [(m, n) for n in (2, 3) for m in range(3, 301)]
+    for m, n in shapes:
+        size = m * n
+        want = tuple(tuple(sorted({(k + d) % size for d in (1, -1, n, -n)}))
+                     for k in range(size))
+        assert torus_cordalis(m, n).adjacency == want, (m, n)
+
+
 @pytest.mark.parametrize("variant,build,n_min", TORI)
 def test_torus_labels_are_computed_on_lookup(variant, build, n_min):
     for m in range(3, 13):

@@ -62,6 +62,16 @@ def test_edges_deduplicated():
     assert g.edges == ((0, 1),)
 
 
+def test_repeated_and_reversed_pairs_build_the_canonical_graph():
+    canonical = [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4)]
+    noisy = [(3, 2), (1, 0), (0, 1), (4, 2), (2, 1), (0, 3), (1, 0), (3, 0), (2, 3), (2, 4)]
+    g = build_graph(6, noisy)
+    assert g == build_graph(6, canonical)
+    assert g.edges == tuple(canonical)
+    assert g.adjacency == ((1, 3), (0, 2), (1, 3, 4), (0, 2), (2,), ())
+    assert all(type(a) is tuple for a in g.adjacency)
+
+
 def test_labels_must_be_bijection():
     build_graph(2, [(0, 1)], {0: "a", 1: "b"})
     with pytest.raises(DuplicateLabel):
