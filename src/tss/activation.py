@@ -51,10 +51,9 @@ class SequenceValidation:
 
 def _check_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
     s = frozenset(seed)
-    if s and not (0 <= min(s) and max(s) < g.vertex_count):
-        for v in s:  # only to name the first offending vertex
-            if not 0 <= v < g.vertex_count:
-                raise VertexOutOfRange(f"seed vertex {v} not in 0..{g.vertex_count - 1}")
+    for v in s:
+        if not 0 <= v < g.vertex_count:
+            raise VertexOutOfRange(f"seed vertex {v} not in 0..{g.vertex_count - 1}")
     return s
 
 

@@ -381,7 +381,10 @@ def _fallback_layout(m: int, n: int) -> list[Coord]:
         classes = [(0, 1)] + [(1,)] * (m - 3) + [(1, 2)]
         cells = [(i, j) for i, row in enumerate(classes, 1) for r in row
                  for j in range(1 + (r - (i - 1) * n) % 3, n + 1, 3)]
-        cells.append((m - 1, n))  # hand the wave across the last-row boundary
+        # (m-1, n) hands the wave across the last-row boundary; row m-1's
+        # classes {1, 2} already hold it unless its id is of class 0.
+        if ((m - 1) * n - 1) % 3 == 0:
+            cells.append((m - 1, n))
         return cells
     if m == 4:
         return _repeat([(1, 1), (3, 1)], n, (0, 1))

@@ -14,7 +14,6 @@ import gc
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from operator import lt
 from typing import Iterable, Mapping, NoReturn
 
 from .errors import BadParam, DuplicateLabel, SelfLoop, TooLarge, VertexOutOfRange
@@ -131,11 +130,7 @@ def build_graph(
             raise DuplicateLabel("label map must cover every vertex exactly once")
         if len(set(label_map.values())) != vertex_count:
             raise DuplicateLabel("label values must be distinct")
-    # A strictly increasing list, as most are when the edges come in canonical
-    # order (a written document's do), is taken as it is; only the others
-    # are deduplicated and sorted.
-    return Graph(tuple([() if a is None else tuple(a) if all(map(lt, a, a[1:]))
-                        else tuple(sorted(set(a))) for a in nbrs]), label_map)
+    return Graph(tuple([tuple(sorted(set(a))) if a else () for a in nbrs]), label_map)
 
 
 def is_connected(g: Graph) -> bool:

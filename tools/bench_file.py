@@ -1,6 +1,6 @@
 """Write BENCH_<pr>.json: the benchmark, the Tier-1 wall time and the src/ size.
 
-    python3 tools/bench_file.py --pr N [--baseline REV [--pairs P]]
+    python3 tools/bench_file.py --pr N [--baseline REV]
 
 Run from anywhere inside a source checkout. For each workload of
 `perfbench/run.py` it runs one untraced pass (`--trace 0`, the end-to-end
@@ -13,12 +13,12 @@ library only; it changes nothing under `perfbench/`.
 
 With `--baseline REV`, the git revision REV is exported to a temporary
 directory (`git archive REV | tar -x`, removed afterwards), and each workload
-is also run untraced in P alternating pairs, REV's run first, then this
-checkout's. The file records every pair and, per end-to-end metric of
-`BENCHMARK.json`, both sides' medians and interquartile spreads and the
-number of pairs in which this checkout did better. A single BENCH file's
-numbers move with the host's load, so a before/after is read from the pairs,
-not from two files.
+is also run untraced in PAIRS pairs, REV against this checkout; the side
+that runs first alternates from pair to pair. The file records every pair
+and, per end-to-end metric of `BENCHMARK.json`, both sides' medians and
+interquartile spreads and the number of pairs in which this checkout did
+better. A single BENCH file's numbers move with the host's load, so a
+before/after is read from the pairs, not from two files.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("table_sweep", "large_torus", "exact_small", "simulate_cli")
 SEED = 1
 SECONDS = 20.0
+PAIRS = 10  # per workload with --baseline: enough for a nine-of-ten reading
 
 
 def run_perfbench(workload: str, trace: int, root: Path = ROOT) -> dict:
@@ -95,12 +96,12 @@ def compare_pairs(pairs: list[dict]) -> dict:
     return out
 
 
-def run_pairs(baseline: Path, workload: str, count: int) -> dict:
-    """`count` pairs of untraced runs; the baseline runs first in even pairs
+def run_pairs(baseline: Path, workload: str) -> dict:
+    """PAIRS pairs of untraced runs; the baseline runs first in even pairs
     and second in odd ones, so neither side always follows the other."""
     sides = [("baseline", baseline), ("change", ROOT)]
     pairs = [{side: run_perfbench(workload, 0, root) for side, root in sides[::1 - 2 * (i % 2)]}
-             for i in range(count)]
+             for i in range(PAIRS)]
     ok = all(p[side].get("correct") is True for p in pairs for side in p)
     return {"pairs": pairs, "correct": ok, "compare": compare_pairs(pairs) if ok else None}
 
@@ -117,24 +118,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the checkout root")
     parser.add_argument("--baseline", metavar="REV",
                         help="git revision to compare against in alternating untraced pairs")
-    parser.add_argument("--pairs", type=int, default=3, help="pairs per workload (default 3)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
-    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
-        if args.baseline:  # a bad revision fails here, before any run
-            export_revision(args.baseline, Path(tmp))
-        workloads = {}
-        for name in WORKLOADS:
-            workloads[name] = {f"trace{t}": run_perfbench(name, t) for t in (0, 1)}
-            print(f"{name}: " + ", ".join(f"trace {t} correct={workloads[name][f'trace{t}'].get('correct')}"
-                                          for t in (0, 1)), file=sys.stderr)
-        paired = {}
-        for name in WORKLOADS if args.baseline else ():
-            paired[name] = run_pairs(Path(tmp), name, args.pairs)
-            print(f"{name}: {args.pairs} pairs against {args.baseline}, "
-                  f"correct={paired[name]['correct']}", file=sys.stderr)
+    paired = {}
+    if args.baseline:
+        with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tmp:
+            export_revision(args.baseline, Path(tmp))  # a bad revision fails before any run
+            for name in WORKLOADS:
+                paired[name] = run_pairs(Path(tmp), name)
+                print(f"{name}: {PAIRS} pairs against {args.baseline}, "
+                      f"correct={paired[name]['correct']}", file=sys.stderr)
+    workloads = {}
+    for name in WORKLOADS:
+        workloads[name] = {f"trace{t}": run_perfbench(name, t) for t in (0, 1)}
+        print(f"{name}: " + ", ".join(f"trace {t} correct={workloads[name][f'trace{t}'].get('correct')}"
+                                      for t in (0, 1)), file=sys.stderr)
     doc = {
         "pr": args.pr,
         "seed": SEED,
@@ -146,7 +144,7 @@ def main(argv=None) -> int:
         "src_lines": src_lines(),
     }
     if args.baseline:
-        doc["baseline"] = {"rev": args.baseline, "pairs_per_workload": args.pairs,
+        doc["baseline"] = {"rev": args.baseline, "pairs_per_workload": PAIRS,
                            "workloads": paired}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
