@@ -372,20 +372,17 @@ def _fallback_layout(m: int, n: int) -> list[Coord]:
     a traveling wave works: first row seeded in two of three residue classes
     of the row-major id mod 3, middle rows every third id, second-to-last row
     in the other two classes, last row empty.  Row i's cells of class r are
-    the columns j = 1 + (r - (i-1)n) mod 3, stepping by 3.  For m = 4
+    the columns j = 1 + (r - (i-1)n) mod 3, stepping by 3.  The wave serves
+    only m not divisible by 3: `seed_torus_cordalis` sends every m = 3t to
+    T9 before it reaches the fallback.  For m = 4
     (remaining n) rows 1 and 3 are seeded whole: rows 2 and 4 sit between two
     fully active rows and self-activate.
     """
     check_vertex_count(m * n, "mn")
     if n % 3 == 2 and m >= 4:
         classes = [(0, 1)] + [(1,)] * (m - 3) + [(1, 2)]
-        cells = [(i, j) for i, row in enumerate(classes, 1) for r in row
-                 for j in range(1 + (r - (i - 1) * n) % 3, n + 1, 3)]
-        # (m-1, n) hands the wave across the last-row boundary; row m-1's
-        # classes {1, 2} already hold it unless its id is of class 0.
-        if ((m - 1) * n - 1) % 3 == 0:
-            cells.append((m - 1, n))
-        return cells
+        return [(i, j) for i, row in enumerate(classes, 1) for r in row
+                for j in range(1 + (r - (i - 1) * n) % 3, n + 1, 3)]
     if m == 4:
         return _repeat([(1, 1), (3, 1)], n, (0, 1))
     raise BadParam(f"no fallback layout for ({m},{n})")

@@ -5,11 +5,12 @@ display labels ("v3", "u1", "(2,5)") exist only in each graph's label map.
 
 The three tori use row-major ids, (i,j) -> (i-1)n + (j-1), and pass
 closed-form neighbour tuples straight to `Graph`, with no edge list. The
-torus cordalis is the circulant C_mn(1, n), and it writes its tuples already
+torus cordalis is the circulant C_mn(1, n), whose tuples are written already
 sorted, one closed form each for vertex 0, row 1, the interior, row m and
-vertex mn-1. The mesh and the serpentinus differ from it only at the row
-ends and in the first and last rows; `_torus_graph` serves only those two,
-reducing and sorting their first and last rows.
+vertex mn-1. The mesh and the serpentinus are the cordalis's tuples with one
+wrap rewired: the mesh's column wrap (i,n)(i,1) replaces the two end tuples
+of each row, and the serpentinus's row wrap (1,j)(m,j+1) replaces the tuples
+of rows 1 and m.
 Their label map is a `TorusLabels`, which formats "(i,j)" from the id on
 lookup; the other families keep a plain dict.
 """
@@ -146,28 +147,34 @@ def check_torus(variant: str, m: int, n: int) -> None:
         )
 
 
-def _torus_graph(m: int, n: int, nbrs: list[tuple[int, ...]]) -> Graph:
-    """Graph from row-major neighbour tuples whose ids may lie outside 0..mn-1.
+def _circulant_tuples(variant: str, m: int, n: int) -> list[tuple[int, ...]]:
+    """The sorted neighbour tuples of C_mn(1, n), the torus cordalis, after
+    `check_torus(variant, m, n)` and the vertex cap.
 
-    Tuples of the interior rows must already be sorted and in range; only
-    the first and last rows (ids below n and from mn-n on) are reduced mod
-    mn and sorted here.
+    In closed form: vertex 0, the rest of row 1, the interior, row m but its
+    last vertex, vertex mn - 1. m >= 3 and n >= 2 keep every tuple strictly
+    increasing.
     """
+    check_torus(variant, m, n)
+    check_vertex_count(m * n, "mn")
     N = m * n
-    for k in (*range(n), *range(N - n, N)):
-        nbrs[k] = tuple(sorted(v % N for v in nbrs[k]))
-    return Graph(tuple(nbrs), TorusLabels(m, n))
+    low, high = range(n - 1), range(N - n + 1, N)
+    nbrs = [(1, n, N - n, N - 1)]
+    nbrs += zip(low, range(2, n + 1), range(n + 1, 2 * n), high)
+    nbrs += zip(range(N - 2 * n), range(n - 1, N - n - 1), range(n + 1, N - n + 1), range(2 * n, N))
+    nbrs += zip(low, range(N - 2 * n, N - n - 1), range(N - n - 1, N - 2), high)
+    nbrs.append((0, n - 1, N - n - 1, N - 2))
+    return nbrs
 
 
 def toroidal_mesh(m: int, n: int) -> Graph:
     """m x n torus grid: (i,j) adjacent to (i±1,j) and (i,j±1), wrapping."""
-    check_torus("mesh", m, n)
-    check_vertex_count(m * n, "mn")
-    nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(m * n)]
-    for r in range(0, m * n, n):  # the column wrap (i,n)(i,1) stays in its row
-        nbrs[r] = (r - n, r + 1, r + n - 1, r + n)
-        nbrs[r + n - 1] = (r - 1, r, r + n - 2, r + 2 * n - 1)
-    return _torus_graph(m, n, nbrs)
+    nbrs = _circulant_tuples("mesh", m, n)
+    N = m * n
+    for r in range(0, N, n):  # the column wrap (i,n)(i,1) stays in its row
+        nbrs[r] = tuple(sorted(((r - n) % N, r + 1, r + n - 1, (r + n) % N)))
+        nbrs[r + n - 1] = tuple(sorted(((r - 1) % N, r, r + n - 2, (r + 2 * n - 1) % N)))
+    return Graph(tuple(nbrs), TorusLabels(m, n))
 
 
 def torus_cordalis(m: int, n: int) -> Graph:
@@ -177,19 +184,7 @@ def torus_cordalis(m: int, n: int) -> Graph:
     direction forms a single cycle through all mn vertices. With row-major ids
     this is the circulant C_mn(1, n): k is adjacent to k±1 and k±n mod mn.
     """
-    check_torus("cordalis", m, n)
-    check_vertex_count(m * n, "mn")
-    N = m * n
-    # The sorted tuples of C_N(1, n), N = mn, in closed form: vertex 0, the
-    # rest of row 1, the interior, row m but its last vertex, vertex N - 1.
-    # m >= 3 and n >= 2 keep every tuple strictly increasing.
-    low, high = range(n - 1), range(N - n + 1, N)
-    nbrs = [(1, n, N - n, N - 1)]
-    nbrs += zip(low, range(2, n + 1), range(n + 1, 2 * n), high)
-    nbrs += zip(range(N - 2 * n), range(n - 1, N - n - 1), range(n + 1, N - n + 1), range(2 * n, N))
-    nbrs += zip(low, range(N - 2 * n, N - n - 1), range(N - n - 1, N - 2), high)
-    nbrs.append((0, n - 1, N - n - 1, N - 2))
-    return Graph(tuple(nbrs), TorusLabels(m, n))
+    return Graph(tuple(_circulant_tuples("cordalis", m, n)), TorusLabels(m, n))
 
 
 def torus_serpentinus(m: int, n: int) -> Graph:
@@ -198,11 +193,10 @@ def torus_serpentinus(m: int, n: int) -> Graph:
     The edge (1,j)(m,j) is replaced by (1,j)(m,j+1), second coordinate mod n.
     At n = 2 the replacement (1,1)(m,2) is the cordalis edge (m,2)(1,1).
     """
-    check_torus("serpentinus", m, n)
-    check_vertex_count(m * n, "mn")
+    nbrs = _circulant_tuples("serpentinus", m, n)
     N = m * n
-    nbrs = [(k - n, k - 1, k + 1, k + n) for k in range(N)]
-    for j in range(n):
-        nbrs[j] = (N - n + (j + 1) % n, j - 1, j + 1, j + n)
-        nbrs[N - n + j] = (N - 2 * n + j, N - n + j - 1, N - n + j + 1, (j - 1) % n)
-    return _torus_graph(m, n, nbrs)
+    for j in range(n):  # rows 1 and m, joined by the shifted row wrap (1,j)(m,j+1)
+        k = N - n + j
+        nbrs[j] = tuple(sorted(((j - 1) % N, j + 1, j + n, N - n + (j + 1) % n)))
+        nbrs[k] = tuple(sorted((k - n, k - 1, (k + 1) % N, (j - 1) % n)))
+    return Graph(tuple(nbrs), TorusLabels(m, n))

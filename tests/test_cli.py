@@ -3,8 +3,11 @@ import functools
 import io
 import json
 import signal
+import subprocess
 import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -803,3 +806,13 @@ def test_main_exits_0_1_or_2_and_never_raises(argv, stdin_text):
     finally:
         sys.stdin = saved
     assert code in (0, 1, 2)
+
+
+def test_cli_matrix_exits_0_1_or_2_on_every_command_line():
+    # the digest is not pinned: argparse's help and error wording vary across Pythons
+    script = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
+    lines = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                           check=True, timeout=120).stdout.splitlines()
+    assert lines[-1].startswith("sha256 ")
+    codes = Counter(json.loads(line)["code"] for line in lines[:-1])
+    assert set(codes) == {0, 1, 2}, codes  # a command that raised is recorded as "raised <type>"

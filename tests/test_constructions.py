@@ -90,6 +90,8 @@ def test_cp_small_examples():
 def test_cp_rejects_small_n():
     with pytest.raises(BadParam):
         seed_cycle_permutation(3, identity_permutation(3))
+    with pytest.raises(BadParam, match=_exactly("permutation length 4 != 5")):
+        seed_cycle_permutation(5, (0, 1, 2, 3))
 
 
 def test_cp_random_permutations_match_formula():
@@ -142,6 +144,8 @@ def test_n3_sweep():
         assert report.size == m + 1
         assert report.theorem_case == "T5"
         assert report.claimed_value_kind == "exact"
+    with pytest.raises(BadParam, match=_exactly("need m >= 3")):
+        seed_cordalis_n3(2)
 
 
 def test_n3s_golden_values():
@@ -218,6 +222,8 @@ def test_m0mod3_golden_values_and_delegation():
     assert seed_cordalis_m0mod3(12, 3).theorem_case == "T5"
     with pytest.raises(BadParam):
         seed_cordalis_m0mod3(7, 4)
+    with pytest.raises(BadParam, match=_exactly("need n >= 2")):
+        seed_cordalis_m0mod3(3, 1)
 
 
 def test_every_builder_report_is_internally_consistent():

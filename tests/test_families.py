@@ -219,6 +219,15 @@ def test_cordalis_closed_form_on_thin_and_flat_shapes():
         assert torus_cordalis(m, n).adjacency == want, (m, n)
 
 
+@pytest.mark.parametrize("variant,build",
+                         [("mesh", toroidal_mesh), ("serpentinus", torus_serpentinus)])
+def test_rewired_tori_match_the_reference_on_thin_and_flat_shapes(variant, build):
+    shapes = [(m, n) for m in (3, 4, 7) for n in range(3, 101)]
+    shapes += [(m, 3) for m in range(3, 101)]
+    for m, n in shapes:
+        assert build(m, n).adjacency == reference_torus(variant, m, n).adjacency, (m, n)
+
+
 @pytest.mark.parametrize("variant,build,n_min", TORI)
 def test_torus_labels_are_computed_on_lookup(variant, build, n_min):
     for m in range(3, 13):

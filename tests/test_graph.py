@@ -110,6 +110,7 @@ def test_petersen_outer_cycle_induces_c5():
 def test_is_connected():
     assert is_connected(cycle(4))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(build_graph(0, []))
 
 
 def test_json_round_trip():

@@ -205,6 +205,10 @@ def test_verify_optimality_starts_at_the_floor():
     g = torus_cordalis(3, 4)
     check = verify_optimality(g, constant_threshold(g, 3), 6)
     assert check.status == "refuted" and len(check.witness) == 5
+    # at the floor (7 on the 4x5 cordalis, whose optimum is 8) search finds no seed
+    check = verify_optimality(torus_cordalis(4, 5), (3,) * 20, 7)
+    assert (check.status, check.witness) == ("inconclusive", None)
+    assert check.reason == "no influencing seed of size 7 exists; true optimum is larger"
 
 
 def test_regular_graphs_with_k_at_degree_reach_the_optimum():
