@@ -5,6 +5,7 @@ from .activation import (
     SequenceValidation,
     closure,
     extract_convinced_sequence,
+    is_connected,
     is_influencing,
     parallel_trace,
     sequential_closure,
@@ -55,7 +56,6 @@ from .graph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    is_connected,
 )
 from .solver import OptimalityCheck, SolveLimits, SolveResult, exact_min_seed, verify_optimality
 from .thresholds import (

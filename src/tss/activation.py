@@ -1,15 +1,18 @@
-"""Threshold activation dynamics: parallel closure, traces, sequential runs.
+"""Threshold activation dynamics: parallel closure, traces, sequential runs, connectivity.
 
 A vertex v activates once at least theta(v) of its neighbors are active;
 active vertices never deactivate, so the final active set is the least fixed
 point containing the seed and is independent of update order.
 
-The parallel rounds, the sequential rule and the check of a claimed order
-share one engine: it counts down each vertex's need, theta(v) minus its
-active neighbours, and a vertex fires when its need first reaches 0, so no
-round is rescanned. Rounds are plain lists; only `parallel_trace` turns them
-into frozensets, and `extract_convinced_sequence` sorts each list in place.
-The exact solver keeps its bitmask cascade.
+The parallel rounds, the sequential rule, the check of a claimed order and
+`is_connected` (threshold 1 from the seed {0}, which activates exactly the
+component of vertex 0) share one engine: it counts down each vertex's need,
+theta(v) minus its active neighbours, and a vertex fires when its need first
+reaches 0, so no round is rescanned. `_start` checks the engine's inputs once,
+the thresholds before the seed. Rounds are plain lists; only `parallel_trace`
+turns them into frozensets, and `extract_convinced_sequence` sorts each list
+in place. The exact solver keeps its bitmask cascade, as its walk needs each
+closed set as a mask.
 """
 
 from __future__ import annotations
@@ -57,34 +60,41 @@ def _check_seed(g: Graph, seed: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def _start(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> tuple[list[int], list[int]]:
-    """Each vertex's need once `seed` is active, and the first frontier.
+def _start(
+    g: Graph, theta: Sequence[int], seed: Iterable[int]
+) -> tuple[tuple[int, ...], frozenset[int], list[int], list[int]]:
+    """The checked thresholds and seed, each vertex's need once the seed is
+    active, and the first frontier.
 
     A vertex fires when a decrement takes its need to exactly 0, so at most
     once. Seed vertices are set to 0 beforehand and never fire; vertices of
     threshold 0 never reach 0 by a decrement, so they join the frontier here.
     """
+    th = check_thresholds(g, theta)
+    s = _check_seed(g, seed)
     adj = g.adjacency
-    need = list(theta)
+    need = list(th)
     first = []
-    if 0 in theta:
-        first = [v for v in range(g.vertex_count) if not theta[v] and v not in seed]
-    for v in seed:
+    if 0 in th:
+        first = [v for v in range(g.vertex_count) if not th[v] and v not in s]
+    for v in s:
         need[v] = 0
-    for v in seed:
+    for v in s:
         for w in adj[v]:
             need[w] -= 1
             if not need[w]:
                 first.append(w)
-    return need, first
+    return th, s, need, first
 
 
-def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> list[list[int]]:
-    """Rounds of the parallel process, each a list without repeats; round t
-    holds the vertices that fire once every vertex of round t-1 is active
-    (round 1: once the seed is)."""
+def _run_rounds(
+    g: Graph, theta: Sequence[int], seed: Iterable[int]
+) -> tuple[frozenset[int], list[list[int]]]:
+    """The checked seed and the rounds of the parallel process, each a list
+    without repeats; round t holds the vertices that fire once every vertex of
+    round t-1 is active (round 1: once the seed is)."""
     adj = g.adjacency
-    need, current = _start(g, theta, seed)
+    _, s, need, current = _start(g, theta, seed)
     rounds = []
     while current:
         rounds.append(current)
@@ -95,21 +105,24 @@ def _run_rounds(g: Graph, theta: tuple[int, ...], seed: frozenset[int]) -> list[
                 if not need[w]:
                     nxt.append(w)
         current = nxt
-    return rounds
+    return s, rounds
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether `g` is connected; the empty graph is."""
+    n = g.vertex_count
+    return not n or sum(map(len, _run_rounds(g, (1,) * n, (0,))[1])) == n - 1
 
 
 def closure(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> frozenset[int]:
     """Final active set of the parallel process started from `seed`."""
-    th = check_thresholds(g, theta)
-    s = _check_seed(g, seed)
-    return s.union(*_run_rounds(g, th, s))
+    s, rounds = _run_rounds(g, theta, seed)
+    return s.union(*rounds)
 
 
 def parallel_trace(g: Graph, theta: Sequence[int], seed: Iterable[int]) -> ActivationTrace:
     """Round-by-round record of the parallel process."""
-    th = check_thresholds(g, theta)
-    s = _check_seed(g, seed)
-    rounds = _run_rounds(g, th, s)
+    s, rounds = _run_rounds(g, theta, seed)
     return ActivationTrace(s, tuple(map(frozenset, rounds)), s.union(*rounds))
 
 
@@ -125,11 +138,9 @@ def sequential_closure(
     Each step activates an eligible vertex drawn uniformly by
     random.Random(rng_seed); the final set always equals the parallel closure.
     """
-    th = check_thresholds(g, theta)
-    s = _check_seed(g, seed)
     pick = random.Random(rng_seed).randrange
     adj = g.adjacency
-    need, eligible = _start(g, th, s)
+    _, s, need, eligible = _start(g, theta, seed)
     fired = []
     while eligible:
         i = pick(len(eligible))
@@ -155,8 +166,7 @@ def validate_convinced_sequence(
     neighbors among seed plus the earlier entries. full_influence additionally
     requires seed plus the whole sequence to cover V(g).
     """
-    th = check_thresholds(g, theta)
-    s = _check_seed(g, seed)
+    th, s, need, _ = _start(g, theta, seed)
     seen: set[int] = set()
     for v in order:
         if not 0 <= v < g.vertex_count:
@@ -167,7 +177,6 @@ def validate_convinced_sequence(
             raise DuplicateVertex(f"sequence lists vertex {v} twice")
         seen.add(v)
     adj = g.adjacency
-    need, _ = _start(g, th, s)
     for pos, v in enumerate(order, start=1):
         if need[v] > 0:
             return SequenceValidation(
@@ -189,10 +198,8 @@ def extract_convinced_sequence(g: Graph, theta: Sequence[int], seed: Iterable[in
     inside one round only depend on earlier rounds, so any within-round order
     is legal.
     """
-    th = check_thresholds(g, theta)
-    s = _check_seed(g, seed)
     out: list[int] = []
-    for r in _run_rounds(g, th, s):
+    for r in _run_rounds(g, theta, seed)[1]:
         r.sort()
         out += r
     return out

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .activation import is_connected
 from .errors import BadParam
 from .families import check_torus
-from .graph import Graph, is_connected
+from .graph import Graph
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .activation import (
     sequential_closure,
     validate_convinced_sequence,
 )
-from .constructions import formula_value, seed_torus_cordalis
+from .constructions import GAP_ONE, formula_value, seed_torus_cordalis
 from .errors import BadParam, TssError
 from .families import identity_permutation, permutation_from_one_based
 from .graph import (MAX_VERTICES, Graph, check_vertex_count, check_vertex_limit, graph_from_json,
@@ -67,7 +67,7 @@ def _parse_ids(text: str) -> list[int]:
 def _permutation(text: str | None, n: int) -> tuple[int, ...]:
     """--pi (1-based images) as a 0-based permutation of n, or the identity
     when it is absent; the vertex cap is checked before that is built."""
-    if not text:
+    if text is None:
         check_vertex_count(2 * n, "2n")
         return identity_permutation(n)
     images = _parse_ids(text)
@@ -237,17 +237,10 @@ def cmd_verify(args) -> int:
     seed = _seed_ids(args, g)
     doc: dict = {"seed_size": len(set(seed))}
     if args.sequence is not None:
-        order = _parse_ids(args.sequence)
-        check = validate_convinced_sequence(g, theta, seed, order)
-        doc.update(
-            {
-                "sequence_ok": check.ok,
-                "full_influence": check.full_influence,
-                "failing_position": check.failing_position,
-                "active_neighbors": check.active_neighbors,
-                "required": check.required,
-            }
-        )
+        check = validate_convinced_sequence(g, theta, seed, _parse_ids(args.sequence))
+        fields = dataclasses.asdict(check)
+        doc["sequence_ok"] = fields.pop("ok")
+        doc.update(fields)
         ok = check.ok and check.full_influence
     else:
         ok = is_influencing(g, theta, seed)
@@ -280,17 +273,16 @@ def cmd_bounds(args) -> int:
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-vertices", type=int, default=24)
+    p.add_argument("--max-vertices", type=int, default=SolveLimits.max_vertices)
     p.add_argument("--time-budget", type=float)
     p.add_argument("--max-size", type=int)
 
 
-def _limits(args) -> SolveLimits:
-    return SolveLimits(
-        max_vertices=args.max_vertices,
-        time_budget_s=args.time_budget,
-        max_size=args.max_size,
-    )
+def _solver_inputs(args) -> tuple[SolveLimits, Graph, Sequence[int]]:
+    """Limits, graph and thresholds of `exact` or `check-optimal`, read in that order."""
+    limits = SolveLimits(args.max_vertices, args.time_budget, args.max_size)
+    g, doc_th = _load_graph(args, limits.max_vertices)
+    return limits, g, _thresholds(_threshold_rule(args), g, doc_th)
 
 
 def _print_result(result, fields: tuple[str, ...]) -> None:
@@ -302,18 +294,14 @@ def _print_result(result, fields: tuple[str, ...]) -> None:
 
 
 def cmd_exact(args) -> int:
-    limits = _limits(args)
-    g, doc_th = _load_graph(args, limits.max_vertices)
-    theta = _thresholds(_threshold_rule(args), g, doc_th)
+    limits, g, theta = _solver_inputs(args)
     result = exact_min_seed(g, theta, limits)
     _print_result(result, ("optimum", "witness", "nodes_explored", "status"))
     return 0 if result.status == "optimal" else 1
 
 
 def cmd_check_optimal(args) -> int:
-    limits = _limits(args)
-    g, doc_th = _load_graph(args, limits.max_vertices)
-    theta = _thresholds(_threshold_rule(args), g, doc_th)
+    limits, g, theta = _solver_inputs(args)
     check = verify_optimality(g, theta, args.claimed, limits)
     _print_result(check, ("status", "witness", "reason", "nodes_explored"))
     return 0 if check.status == "confirmed" else 1
@@ -339,13 +327,9 @@ def _table_rows(args):
                 }
                 continue
             case = report.theorem_case
-            status = {
-                "exact": "exact",
-                "upper_bound": "upper_bound",
-                "upper_bound_gap_one": "gap_one",
-            }[report.claimed_value_kind]
-            if case == "fallback":
-                status = "fallback"
+            status = "fallback" if case == "fallback" else report.claimed_value_kind
+            if status == GAP_ONE:
+                status = "gap_one"
             yield {
                 "m": m, "n": n, "case": case, "phi": formula_value(case, m, n),
                 "size": report.size, "lower": report.lower_bound, "status": status,

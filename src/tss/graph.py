@@ -133,23 +133,6 @@ def build_graph(
     return Graph(tuple([tuple(sorted(set(a))) if a else () for a in nbrs]), label_map)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    seen = bytearray(g.vertex_count)
-    stack = [0]
-    seen[0] = 1
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.vertex_count
-
-
 def _gc_paused(fn):
     """`fn` run with CPython's cyclic garbage collector paused; the collector's
     earlier state is restored afterwards, so a caller that had it off keeps it
@@ -249,10 +232,10 @@ def graph_from_json(
         raise BadParam(f"malformed graph document: {exc}") from exc
 
 
-def graph_to_dot(g: Graph, active: Iterable[int] | None = None, name: str = "G") -> str:
+def graph_to_dot(g: Graph, active: Iterable[int] | None = None) -> str:
     """DOT text; vertices in `active` are drawn filled."""
     act = set(active) if active is not None else set()
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in g.vertices():
         attrs = [f'label="{g.label_of(v)}"']
         if v in act:

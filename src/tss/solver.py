@@ -51,9 +51,10 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
+from .activation import is_connected
 from .bounds import lower_bound_lemma
 from .errors import BadParam
-from .graph import Graph, check_vertex_limit, is_connected
+from .graph import Graph, check_vertex_limit
 from .thresholds import check_thresholds
 
 

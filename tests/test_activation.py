@@ -3,13 +3,17 @@ import random
 import pytest
 
 from tss import (
+    BadParam,
     DuplicateVertex,
     SeedOverlap,
+    SizeMismatch,
     VertexOutOfRange,
+    build_graph,
     closure,
     constant_threshold,
     extract_convinced_sequence,
     generalized_petersen,
+    is_connected,
     is_influencing,
     parallel_trace,
     path,
@@ -241,6 +245,61 @@ def test_out_of_range_seed_names_the_first_bad_vertex():
         for run in (closure, parallel_trace, extract_convinced_sequence):
             with pytest.raises(VertexOutOfRange, match=rf"^seed vertex {want} not in 0\.\.4$"):
                 run(g, theta, seed)
+
+
+def test_inputs_are_checked_thresholds_then_seed_then_sequence():
+    g = path(4)
+    runs = (closure, parallel_trace, extract_convinced_sequence,
+            lambda g, theta, seed: sequential_closure(g, theta, seed, 0),
+            lambda g, theta, seed: validate_convinced_sequence(g, theta, seed, [7, 7]))
+    for run in runs:
+        with pytest.raises(SizeMismatch, match=r"^3 thresholds for a graph on 4 vertices$"):
+            run(g, (1, 1, 1), [9])
+        with pytest.raises(BadParam, match=r"^thresholds must be non-negative$"):
+            run(g, (1, -1, 1, 1), [9])
+        with pytest.raises(VertexOutOfRange, match=r"^seed vertex 9 not in 0\.\.3$"):
+            run(g, (1, 1, 1, 1), [9])
+
+
+def _component_count(g):
+    """Components of `g` by union-find over its edge list."""
+    parent = list(g.vertices())
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in g.vertices()})
+
+
+def test_is_connected_matches_union_find():
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(400):
+        shape = rng.choice(("connected", "two pieces", "isolated", "sparse"))
+        if shape == "sparse":
+            n = rng.randint(0, 12)
+            p = rng.choice((0.1, 0.2, 0.4))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        else:
+            a = random_connected_graph(rng, 6)
+            b = random_connected_graph(rng, 6) if shape == "two pieces" else build_graph(0, [])
+            loose = rng.randint(1, 3) if shape == "isolated" else 0
+            n = a.vertex_count + b.vertex_count + loose
+            off = a.vertex_count
+            edges = list(a.edges) + [(u + off, v + off) for u, v in b.edges]
+        # relabel so that vertex 0 may lie in any piece, or be isolated
+        ids = rng.sample(range(n), n)
+        g = build_graph(n, [(ids[u], ids[v]) for u, v in edges])
+        want = _component_count(g) <= 1
+        assert is_connected(g) is want, (shape, n, edges)
+        outcomes.add((shape, want))
+    assert outcomes >= {("connected", True), ("two pieces", False), ("isolated", False),
+                        ("sparse", True), ("sparse", False)}
 
 
 def test_trace_json_shape():

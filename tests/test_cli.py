@@ -31,7 +31,7 @@ from tss import (
     torus_cordalis,
     torus_serpentinus,
 )
-from tss.cli import FAMILIES, build_parser, main
+from tss.cli import FAMILIES, TABLE_COLUMNS, build_parser, main
 from tss.graph import Graph
 
 
@@ -393,6 +393,16 @@ def test_table_stops_scanning_m_past_the_cell_cap(capsys):
     assert huge[0] == 0 and huge == run(capsys, *rows, "--m-max", "30")
 
 
+def test_table_skips_pairs_over_the_cap_while_m_is_negative(capsys):
+    # m * n falls as n grows when m < 0, so a pair over the cap is skipped, not the row
+    code, out, err = run(capsys, "table", "--m-min", "-10", "--m-max", "-9", "--n-min", "-10",
+                         "--n-max", "-1", "--max-cells", "60")
+    rows = [line.split(",") for line in out.splitlines()]
+    assert (code, err, rows[0]) == (1, "", list(TABLE_COLUMNS))
+    assert [(int(r[0]), int(r[1]), r[6]) for r in rows[1:]] == [
+        (m, n, "FAILED") for m in (-10, -9) for n in range(-6, 0)]
+
+
 def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):
     _, out, _ = run(capsys, "gen", "--family", "path", "--n", "3")
     gpath = tmp_path / "g.json"
@@ -639,6 +649,17 @@ def test_permutation_flag_errors_exit_2(capsys):
         assert (code, out, err) == (2, "", "error: permutation needs 5 entries, got 2\n")
         code, out, err = run(capsys, command, "--family", "cp", "--n", "5", "--pi", "1,1,2,3,4")
         assert (code, out) == (2, "") and "not a bijection" in err
+
+
+def test_empty_permutation_flag_exit_2(capsys):
+    for command in ("seed", "gen", "exact"):
+        code, out, err = run(capsys, command, "--family", "cp", "--n", "5", "--pi", "")
+        assert (code, out, err) == (2, "", "error: permutation needs 5 entries, got 0\n")
+    identity = identity_permutation(5)
+    code, out, _ = run(capsys, "gen", "--family", "cp", "--n", "5")
+    assert code == 0 and graph_from_json(out)[0] == cycle_permutation(5, identity)
+    code, out, _ = run(capsys, "seed", "--family", "cp", "--n", "5")
+    assert (code, json.loads(out)) == (0, seed_cycle_permutation(5, identity).to_dict())
 
 
 def test_family_sizes_capped_before_allocating_exit_2(capsys):

@@ -50,7 +50,7 @@ BAD_FAMILY_ARGS = (
     ("serpentinus", "--m", "5", "--n", "2"), ("serpentinus", "--m", "3", "--n", "1"),
     ("cordalis", "--m", "1000000", "--n", "1000000"), ("path", "--n", "100000000"),
     ("cp", "--n", "100000000"), ("cordalis", "--m", "-3", "--n", "-3"),
-    ("serpentinus", "--m", "6000000", "--n", "2"),
+    ("serpentinus", "--m", "6000000", "--n", "2"), ("cp", "--n", "5", "--pi", ""),
 )
 THRESHOLDS = (
     (), ("--k", "1"), ("--k", "2"), ("--k", "3"), ("--k", "4"), ("--k", "0"), ("--k", "-1"),
