@@ -368,24 +368,22 @@ def seed_cordalis_m0mod3(m: int, n: int) -> SeedReport:
 def _fallback_layout(m: int, n: int) -> list[Coord]:
     """Verified fallback layouts for the parameter pairs no case covers.
 
+    `seed_torus_cordalis` sends here only m >= 4 not divisible by 3 with
+    n = 3q+2, and m = 4 with any other n; the gate refuses a wrong layout.
     For n = 3q+2 the vertex ids trace the column-order Hamiltonian cycle, and
     a traveling wave works: first row seeded in two of three residue classes
     of the row-major id mod 3, middle rows every third id, second-to-last row
     in the other two classes, last row empty.  Row i's cells of class r are
-    the columns j = 1 + (r - (i-1)n) mod 3, stepping by 3.  The wave serves
-    only m not divisible by 3: `seed_torus_cordalis` sends every m = 3t to
-    T9 before it reaches the fallback.  For m = 4
-    (remaining n) rows 1 and 3 are seeded whole: rows 2 and 4 sit between two
+    the columns j = 1 + (r - (i-1)n) mod 3, stepping by 3.  For m = 4 and
+    any other n, rows 1 and 3 are seeded whole: rows 2 and 4 sit between two
     fully active rows and self-activate.
     """
     check_vertex_count(m * n, "mn")
-    if n % 3 == 2 and m >= 4:
+    if n % 3 == 2:
         classes = [(0, 1)] + [(1,)] * (m - 3) + [(1, 2)]
         return [(i, j) for i, row in enumerate(classes, 1) for r in row
                 for j in range(1 + (r - (i - 1) * n) % 3, n + 1, 3)]
-    if m == 4:
-        return _repeat([(1, 1), (3, 1)], n, (0, 1))
-    raise BadParam(f"no fallback layout for ({m},{n})")
+    return _repeat([(1, 1), (3, 1)], n, (0, 1))
 
 
 def seed_torus_cordalis(m: int, n: int) -> SeedReport:

@@ -237,7 +237,8 @@ def graph_to_dot(g: Graph, active: Iterable[int] | None = None) -> str:
     act = set(active) if active is not None else set()
     lines = ["graph G {"]
     for v in g.vertices():
-        attrs = [f'label="{g.label_of(v)}"']
+        label = g.label_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in act:
             attrs.append("style=filled")
             attrs.append("fillcolor=gray")

@@ -2,14 +2,17 @@
 
 Monotonicity of the closure makes the search sound: if a seed fails, every
 subset of it fails, so the first size with any influencing seed is the
-optimum. Each size is a depth-first walk over the candidates in
-lexicographic order. A tree node keeps the closed active set of its prefix,
-so adding one vertex only cascades from that vertex: just the neighbours of
-newly active vertices are re-tested.
+optimum. Both entry points run one loop over the sizes from a proven floor
+(the forced vertices, or `lower_bound_lemma` under a constant threshold):
+`exact_min_seed` up to `max_size`, and `verify_optimality` only over
+claimed-1 and claimed, both clamped to N (V itself influences). Each size
+is a depth-first walk over the candidates in lexicographic order. A tree
+node keeps the closed active set of its prefix, so adding one vertex only
+cascades from that vertex: just the neighbours of newly active vertices are
+re-tested.
 
-Five proofs cut the work without changing any witness. No size below a
-proven floor (the forced vertices, or `lower_bound_lemma` under a constant
-threshold) is searched. Under constant thresholds, when some divisor d of N
+Five proofs cut the work without changing any witness. No size below the
+floor is searched. Under constant thresholds, when some divisor d of N
 makes both v -> v - v%d + (v+1)%d (a step within each block of d ids) and
 v -> v+d (mod N) map every edge to an edge, the two translations reach every
 vertex from 0 and carry any influencing seed to one that contains vertex 0,
@@ -112,16 +115,6 @@ def _cascade(masks: Sequence[int], theta: Sequence[int], active: int, front: int
     return active
 
 
-def _prepare(g: Graph, theta: Sequence[int], limits: SolveLimits):
-    """(thresholds, forced vertices, whether vertex 0 may anchor every candidate)."""
-    th = check_thresholds(g, theta)
-    check_vertex_limit(g.vertex_count, limits.max_vertices)
-    if g.vertex_count == 0 or not is_connected(g):
-        raise BadParam("solver requires a connected non-empty graph")
-    forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
-    return th, forced, all(t == th[0] for t in th) and _translates(g)
-
-
 def _translates(g: Graph) -> bool:
     """Whether, for some divisor d >= 2 of N, v -> v - v%d + (v+1)%d and
     v -> v+d (mod N) both map every edge to an edge (d = 1 gives the same
@@ -137,15 +130,6 @@ def _translates(g: Graph) -> bool:
         for d in range(2, n + 1)
         if n % d == 0
     )
-
-
-def _floor(g: Graph, th: Sequence[int], forced: Sequence[int]) -> tuple[int, str]:
-    """A proven lower bound on the optimum and the name of its source."""
-    if all(t == th[0] for t in th) and th[0] >= 1:
-        lemma = lower_bound_lemma(g, th[0])
-        if lemma >= len(forced):
-            return lemma, "lemma3"
-    return len(forced), "forced-vertex"
 
 
 def _search_size(
@@ -253,27 +237,48 @@ def _search_size(
     return frozenset(fixed) | frozenset(picks) if found else None
 
 
+def _search(g: Graph, theta: Sequence[int], limits: SolveLimits, low: int, high: int):
+    """Search the sizes max(floor, min(low, N)) to min(high, N) in ascending
+    order: (floor, the floor's source, the witness of the first size that has
+    an influencing seed or None, leaves reached, whether the budget ran out)."""
+    th = check_thresholds(g, theta)
+    n = g.vertex_count
+    check_vertex_limit(n, limits.max_vertices)
+    if n == 0 or not is_connected(g):
+        raise BadParam("solver requires a connected non-empty graph")
+    forced = tuple(v for v, a in enumerate(g.adjacency) if th[v] > len(a))
+    constant = all(t == th[0] for t in th)
+    anchor = constant and _translates(g)
+    floor, source = len(forced), "forced-vertex"
+    if constant and th[0] >= 1:
+        lemma = lower_bound_lemma(g, th[0])
+        if lemma >= floor:
+            floor, source = lemma, "lemma3"
+    deadline = None if limits.time_budget_s is None else time.monotonic() + limits.time_budget_s
+    counter = [0, 0]
+    try:
+        for k in range(max(floor, min(low, n)), min(high, n) + 1):
+            witness = _search_size(g, th, forced, anchor, k, deadline, counter)
+            if witness is not None:
+                return floor, source, witness, counter[0], False
+    except TimeoutError:
+        return floor, source, None, counter[0], True
+    return floor, source, None, counter[0], False
+
+
 def exact_min_seed(
     g: Graph, theta: Sequence[int], limits: SolveLimits = SolveLimits()
 ) -> SolveResult:
     """Smallest influencing seed, with a deterministic lex-least witness.
     Status "above_max_size": the floor or a finished search ruled out every
     size up to `limits.max_size`; "budget_exceeded": the time budget ran out."""
-    th, forced, anchor = _prepare(g, theta, limits)
-    deadline = None
-    if limits.time_budget_s is not None:
-        deadline = time.monotonic() + limits.time_budget_s
-    floor, _ = _floor(g, th, forced)
-    top = g.vertex_count if limits.max_size is None else min(limits.max_size, g.vertex_count)
-    counter = [0, 0]
-    for k in range(floor, top + 1):
-        try:
-            witness = _search_size(g, th, forced, anchor, k, deadline, counter)
-        except TimeoutError:
-            return SolveResult(None, None, counter[0], "budget_exceeded")
-        if witness is not None:
-            return SolveResult(k, witness, counter[0], "optimal")
-    return SolveResult(None, None, counter[0], "above_max_size")
+    high = g.vertex_count if limits.max_size is None else limits.max_size
+    _, _, witness, nodes, timed_out = _search(g, theta, limits, 0, high)
+    if timed_out:
+        return SolveResult(None, None, nodes, "budget_exceeded")
+    if witness is None:
+        return SolveResult(None, None, nodes, "above_max_size")
+    return SolveResult(len(witness), witness, nodes, "optimal")
 
 
 def verify_optimality(
@@ -285,42 +290,23 @@ def verify_optimality(
     """Check a claimed optimum: confirmed, refuted with a smaller witness, or
     inconclusive (budget ran out, or no seed of the claimed size works).
 
-    A claim below the floor is inconclusive without a search; a claim at the
-    floor is confirmed by one seed of its size, and `reason` names the bound
-    that rules out the size below."""
+    Only the sizes claimed-1 and claimed are searched, clamped to N. A claim
+    below the floor is inconclusive without a search; a claim at the floor is
+    confirmed by one seed of its size, and `reason` names the bound that
+    rules out the size below."""
     if claimed < 0:
         raise BadParam("claimed optimum must be non-negative")
-    th, forced, anchor = _prepare(g, theta, limits)
-    floor, source = _floor(g, th, forced)
+    floor, source, witness, nodes, timed_out = _search(g, theta, limits, claimed - 1, claimed)
+    below = f"is below the {source} lower bound {floor}"
     if claimed < floor:
-        return OptimalityCheck(
-            "inconclusive",
-            reason=f"size {claimed} is below the {source} lower bound {floor}; "
-            "true optimum is larger",
-        )
-    deadline = None
-    if limits.time_budget_s is not None:
-        deadline = time.monotonic() + limits.time_budget_s
-    counter = [0, 0]
-    reason = None
-    try:
-        if claimed > floor:
-            smaller = _search_size(g, th, forced, anchor, claimed - 1, deadline, counter)
-            if smaller is not None:
-                return OptimalityCheck("refuted", witness=smaller, nodes_explored=counter[0])
-        elif claimed > 0:
-            reason = f"size {claimed - 1} is below the {source} lower bound {floor}"
-        at_claim = _search_size(g, th, forced, anchor, claimed, deadline, counter)
-    except TimeoutError:
-        return OptimalityCheck(
-            "inconclusive", reason="time budget exceeded", nodes_explored=counter[0]
-        )
-    if at_claim is None:
-        return OptimalityCheck(
-            "inconclusive",
-            reason=f"no influencing seed of size {claimed} exists; true optimum is larger",
-            nodes_explored=counter[0],
-        )
-    return OptimalityCheck(
-        "confirmed", witness=at_claim, reason=reason, nodes_explored=counter[0]
-    )
+        reason = f"size {claimed} {below}; true optimum is larger"
+    elif timed_out:
+        reason = "time budget exceeded"
+    elif witness is None:
+        reason = f"no influencing seed of size {claimed} exists; true optimum is larger"
+    elif len(witness) < claimed:
+        return OptimalityCheck("refuted", witness, nodes_explored=nodes)
+    else:
+        reason = f"size {claimed - 1} {below}" if claimed == floor > 0 else None
+        return OptimalityCheck("confirmed", witness, reason, nodes)
+    return OptimalityCheck("inconclusive", reason=reason, nodes_explored=nodes)

@@ -9,13 +9,17 @@ from tss import (
     build_graph,
     constant_threshold,
     cycle,
+    cycle_permutation,
     flocchini_upper,
     generalized_petersen,
     lower_bound_lemma,
+    toroidal_mesh,
     torus_bounds,
     torus_cordalis,
+    torus_serpentinus,
     tss_lower_bound_torus,
 )
+from tss.bounds import cubic_seed_size
 from helpers import naive_min_seed, random_connected_graph
 
 
@@ -118,3 +122,20 @@ def test_lemma_below_exact_on_random_graphs():
         g = random_connected_graph(rng, 10)
         for k in (1, 2, 3):
             assert lower_bound_lemma(g, k) <= naive_min_seed(g, constant_threshold(g, k))
+
+
+def test_lemma_is_the_closed_form_on_the_papers_graphs():
+    # At strict majority (k = Delta - 1) the lemma is (|E| - |V| + 1)/(Delta - 1),
+    # which gives the solver its floor on these graphs: ceil((p+1)/2) on the
+    # cubic ones and ceil((mn+1)/3) on the 4-regular tori.
+    rng = random.Random(32)
+    for p in range(3, 41):
+        for s in range(1, (p - 1) // 2 + 1):
+            assert lower_bound_lemma(generalized_petersen(p, s), 2) == cubic_seed_size(p), (p, s)
+        if p >= 4:
+            pi = rng.sample(range(p), p)
+            assert lower_bound_lemma(cycle_permutation(p, pi), 2) == cubic_seed_size(p), pi
+    for build in (toroidal_mesh, torus_cordalis, torus_serpentinus):
+        for m in range(3, 16):
+            for n in range(3, 16):
+                assert lower_bound_lemma(build(m, n), 3) == tss_lower_bound_torus(m, n), (m, n)

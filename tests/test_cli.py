@@ -411,6 +411,17 @@ def test_export_dot_from_stdin(capsys, monkeypatch, tmp_path):
     assert code == 0 and "0 -- 1;" in out
 
 
+def test_export_dot_escapes_quotes_and_backslashes_in_labels(capsys, monkeypatch):
+    doc = {"format": "tss-graph-v1", "n": 3, "edges": [[0, 1], [1, 2]],
+           "labels": {"0": 'say "hi"', "1": "ends in \\", "2": "plain"}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "export-dot", "--graph", "-")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:4] == [r'  0 [label="say \"hi\""];',
+                                     r'  1 [label="ends in \\"];',
+                                     '  2 [label="plain"];']
+
+
 def test_label_keys_must_be_canonical_exit_2(capsys, monkeypatch):
     args = ("verify", "--graph", "-", "--k", "1", "--seed", "0")
     doc = '{"format": "tss-graph-v1", "n": 2, "edges": [[0, 1]], "labels": {%s}}'

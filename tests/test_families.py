@@ -210,8 +210,8 @@ def test_cordalis_is_the_circulant_c_mn_1_n():
 
 
 def test_cordalis_closed_form_on_thin_and_flat_shapes():
-    shapes = [(m, n) for m in (3, 4, 7) for n in range(2, 301)]
-    shapes += [(m, n) for n in (2, 3) for m in range(3, 301)]
+    shapes = [(m, n) for m in (3, 4, 7) for n in range(2, 101)]
+    shapes += [(m, n) for n in (2, 3) for m in range(3, 101)]
     for m, n in shapes:
         size = m * n
         want = tuple(tuple(sorted({(k + d) % size for d in (1, -1, n, -n)}))

@@ -154,6 +154,10 @@ def test_max_size_below_optimum_is_not_a_timeout():
     result = exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=7))
     assert result.status == "above_max_size" and result.nodes_explored > 0
     assert exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=8)).optimum == 8
+    # a max_size above N searches the same sizes as none at all
+    unbounded = exact_min_seed(g, constant_threshold(g, 3))
+    above = exact_min_seed(g, constant_threshold(g, 3), SolveLimits(max_size=30))
+    assert above == unbounded and (above.status, above.optimum) == ("optimal", 8)
 
 
 def test_verify_optimality_triangle():
@@ -231,7 +235,8 @@ def test_claims_above_the_optimum_are_refuted_one_size_smaller():
     # A seed one below such a claim may need a pick the prefix already
     # activates, or more picks than inactive vertices are left, so neither
     # may be skipped on that ground alone. On this path {0} is optimal, and
-    # {0, 1} holds the redundant pick 1.
+    # {0, 1} holds the redundant pick 1. No seed is larger than V, so a claim
+    # above N + 1 is refuted by V itself, found in one leaf.
     g = path(3)
     check = verify_optimality(g, (2, 0, 0), 3)
     assert (check.status, check.witness) == ("refuted", {0, 1})
@@ -246,6 +251,9 @@ def test_claims_above_the_optimum_are_refuted_one_size_smaller():
             assert check.status == "refuted" and len(check.witness) == claimed - 1
             assert len(naive_closure(g, theta, check.witness)) == g.vertex_count
             checks += 1
+        check = verify_optimality(g, theta, g.vertex_count + 2)
+        assert (check.status, check.nodes_explored) == ("refuted", 1)
+        assert check.witness == set(g.vertices())
     assert checks >= 500
 
 

@@ -187,16 +187,19 @@ def _commands() -> list[tuple[list[str], str | None]]:
     add("exact", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3")
     add("exact", "--family", "cordalis", "--m", "4", "--n", "4", "--k", "3")
     add("exact", "--family", "cordalis", "--m", "4", "--n", "4", "--k", "3", "--max-size", "3")
+    add("exact", "--family", "cordalis", "--m", "4", "--n", "4", "--k", "3", "--max-size", "20")
     add("exact", "--family", "cordalis", "--m", "5", "--n", "5", "--k", "3")
     add("exact", "--family", "cordalis", "--m", "5", "--n", "5", "--k", "3",
         "--max-vertices", "25")
     add("exact", "--family", "cordalis", "--m", "1000", "--n", "1000", "--k", "3")
     add("exact", "--family", "gpg", "--m", "8", "--s", "3", "--threshold", "majority")
     add("exact", "--family", "path", "--n", "7", "--k", "2", "--time-budget", "0")
-    for claimed in ("-1", "0", "3", "4", "5"):
+    for claimed in ("-1", "0", "3", "4", "5", "10", "11"):
         add("check-optimal", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3",
             "--claimed", claimed)
     add("check-optimal", "--family", "cordalis", "--m", "3", "--n", "3", "--k", "3")
+    add("check-optimal", "--family", "cordalis", "--m", "4", "--n", "5", "--k", "3",
+        "--claimed", "8", "--time-budget", "0")
     add("check-optimal", "--family", "gpg", "--m", "6", "--s", "1", "--k", "2",
         "--claimed", "4", "--max-vertices", "8")
     # table
